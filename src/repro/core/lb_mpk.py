@@ -163,11 +163,8 @@ class MPKBackend(Backend):
         """libmpk-style eviction: re-tag the overflow key's pages so that
         it represents this environment's overflow meta-package."""
         litterbox = self.litterbox
-        if litterbox.tracer is not None:
-            litterbox.tracer.instant("transfer", f"retag:{env.name}",
-                                     env=env.name, mechanism="libmpk")
-        if litterbox.metrics is not None:
-            litterbox.metrics.switches.inc(env=env.name, kind="retag")
+        if litterbox.obs is not None:
+            litterbox.obs.retag(env)
         owner_meta = litterbox.clustering.meta_for(env.spec.pseudo_package)
         for pkg in owner_meta.packages:
             for section in litterbox.image.graph.get(pkg).sections:

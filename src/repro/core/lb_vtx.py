@@ -24,7 +24,7 @@ from repro.hw.pages import Perm, Section
 from repro.hw.pagetable import PageTable
 from repro.hw.vtx import ExitReason
 from repro.os.kvm import KVMDevice
-from repro.os.syscalls import CATEGORY_OF, syscall_name
+from repro.os.syscalls import syscall_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.litterbox import LitterBox
@@ -190,34 +190,25 @@ class VTXBackend(Backend):
         execution environment's filter.  If authorized, system calls are
         passed through to the host via a hypercall (VM EXIT)" (§5.3).
         """
-        tracer = self.litterbox.tracer
-        if tracer is None:
-            return self._guest_syscall(cpu, nr, args)
-        span = tracer.begin("syscall", f"guest-sys:{syscall_name(nr)}",
-                            nr=nr)
+        obs = self.litterbox.obs
+        if obs is None:
+            return self._guest_syscall(cpu, nr, args, None)
+        obs.syscall_enter("guest-sys", nr)
+        ret = None
         try:
-            ret = self._guest_syscall(cpu, nr, args)
-            span.args["ret"] = ret
+            ret = self._guest_syscall(cpu, nr, args, obs)
             return ret
         finally:
-            tracer.end(span)
+            obs.syscall_exit("guest-sys", nr, ret)
 
-    def _guest_syscall(self, cpu: CPU, nr: int,
-                       args: tuple[int, ...]) -> int:
+    def _guest_syscall(self, cpu: CPU, nr: int, args: tuple[int, ...],
+                       obs) -> int:
         clock = self.litterbox.clock
         clock.charge(COSTS.GUEST_SYSCALL)
-        tracer = self.litterbox.tracer
-        metrics = self.litterbox.metrics
         env = cpu.current_env or self.litterbox.trusted_env
         if not env.allows_syscall(nr):
-            if tracer is not None:
-                tracer.instant("filter", "filter:deny",
-                               mechanism="guest-os", nr=nr,
-                               env=env.name, verdict="kill")
-            if metrics is not None:
-                metrics.verdicts.inc(
-                    mechanism="guest-os", verdict="kill",
-                    category=CATEGORY_OF.get(nr, "other"))
+            if obs is not None:
+                obs.filter("guest-os", "kill", nr, env.name)
             raise SyscallFault(
                 f"guest OS rejected {syscall_name(nr)} in environment "
                 f"{env.name!r}", nr).attribute(env)
@@ -225,27 +216,15 @@ class VTXBackend(Backend):
             value = args[rule.arg_index] if rule.arg_index < len(args) else 0
             if (value & 0xFFFFFFFF) not in \
                     {v & 0xFFFFFFFF for v in rule.allowed_values}:
-                if tracer is not None:
-                    tracer.instant("filter", "filter:deny",
-                                   mechanism="guest-os", nr=nr,
-                                   env=env.name, verdict="kill",
-                                   arg_index=rule.arg_index, value=value)
-                if metrics is not None:
-                    metrics.verdicts.inc(
-                        mechanism="guest-os", verdict="kill",
-                        category=CATEGORY_OF.get(nr, "other"))
+                if obs is not None:
+                    obs.filter("guest-os", "kill", nr, env.name,
+                               arg_index=rule.arg_index, value=value)
                 raise SyscallFault(
                     f"guest OS rejected {syscall_name(nr)}: argument "
                     f"{rule.arg_index} = {value:#x} not in the allow-list",
                     nr).attribute(env)
-        if tracer is not None:
-            tracer.instant("filter", "filter:allow",
-                           mechanism="guest-os", nr=nr,
-                           env=env.name, verdict="allow")
-        if metrics is not None:
-            metrics.verdicts.inc(
-                mechanism="guest-os", verdict="allow",
-                category=CATEGORY_OF.get(nr, "other"))
+        if obs is not None:
+            obs.filter("guest-os", "allow", nr, env.name)
         return self.kvm.forward_syscall(nr, args, cpu.ctx)
 
     # ------------------------------------------------------------ containment

@@ -136,7 +136,7 @@ class Profiler:
 
     def set_env(self, name: str) -> None:
         """Drain pending points into the env that accrued them, then
-        switch attribution (called at the same sites as the tracer's
+        switch attribution (at the same instants as the tracer's
         ``set_env``: Prolog, Epilog, Execute, unwind-on-fault)."""
         if self.next_due <= self.clock.now_ns:
             self._drain(self._last_pkg, "")
@@ -146,6 +146,26 @@ class Profiler:
         """Drain the tail at end of run."""
         if self.next_due <= self.clock.now_ns:
             self._drain(self._last_pkg, "")
+
+    # -- spine subscriber (see repro.trace.Observers) ------------------------
+
+    on_finish = finish
+
+    def on_prolog(self, goroutine, current, target) -> None:
+        self.set_env(target.name)
+
+    def on_execute(self, goroutine, core: int | None = None) -> None:
+        self.set_env(goroutine.env.name)
+
+    on_epilog_end = on_execute
+
+    def on_unwind(self, env) -> None:
+        self.set_env(env.name)
+
+    def on_syscall_exit(self, layer: str, nr: int, ret) -> None:
+        # Only host-kernel exits carry an in-kernel frame.
+        if layer == "sys":
+            self.drain_kernel(nr)
 
     # -- output ------------------------------------------------------------------
 

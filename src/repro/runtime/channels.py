@@ -42,13 +42,12 @@ class ChannelTable:
         self._channels: dict[int, Channel] = {}
         self._next_id = 1
         self._wake = waker
-        #: Optional request-span recorder, wired by the machine.  The
-        #: send/recv hooks run after the buffer mutation (WouldBlock is
-        #: raised before any state changes), so their shadow FIFO stays
-        #: in lockstep with the value buffer — including under the JIT,
-        #: whose compiled traces call send/recv as guarded runtime
-        #: services rather than open-coding them.
-        self.spans = None
+        #: Observer spine (repro.trace.Observers), machine-wired.  The
+        #: send/recv events fire after the buffer mutation (WouldBlock is
+        #: raised before any state changes), so the span recorder's
+        #: shadow FIFO stays in lockstep with the value buffer — also
+        #: under the JIT, whose traces call send/recv as services.
+        self.obs = None
 
     def new(self, capacity: int) -> int:
         if capacity < 0:
@@ -71,8 +70,8 @@ class ChannelTable:
         if len(channel.buffer) >= channel.capacity:
             raise WouldBlock(channel.send_key)
         channel.buffer.append(value)
-        if self.spans is not None:
-            self.spans.on_chan_send(handle)
+        if self.obs is not None:
+            self.obs.chan_send(handle)
         self._wake(channel.recv_key)
 
     def recv(self, handle: int) -> int:
@@ -81,8 +80,8 @@ class ChannelTable:
         channel = self.get(handle)
         if channel.buffer:
             value = channel.buffer.popleft()
-            if self.spans is not None:
-                self.spans.on_chan_recv(handle)
+            if self.obs is not None:
+                self.obs.chan_recv(handle)
             self._wake(channel.send_key)
             return value
         if channel.closed:

@@ -6,12 +6,14 @@ readiness semantics, and the open-loop load generator's determinism.
 """
 
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
 from repro.golite import build_program
 from repro.machine import Machine, MachineConfig
 from repro.os import LOCALHOST, Network, errno
+from repro.trace import Observers
 from repro.workloads import asynchttp, loadgen
 
 
@@ -72,7 +74,7 @@ class TestAcceptQueue:
     def test_backlog_overflow_refused(self):
         refused = []
         net = Network()
-        net.on_refused = refused.append
+        net.obs = Observers([SimpleNamespace(on_refused=refused.append)])
         listener = net.bind_listen(7002, 2)
         assert not isinstance(net.connect(LOCALHOST, 7002), int)
         assert not isinstance(net.connect(LOCALHOST, 7002), int)
@@ -116,7 +118,7 @@ class TestAcceptQueue:
     def test_shrinking_backlog_sheds_newest(self):
         refused = []
         net = Network()
-        net.on_refused = refused.append
+        net.obs = Observers([SimpleNamespace(on_refused=refused.append)])
         listener = net.bind_listen(7006, 8)
         conns = [net.connect(LOCALHOST, 7006) for _ in range(5)]
         listener.backlog = 2
@@ -130,7 +132,8 @@ class TestAcceptQueue:
     def test_backlog_gauge_tracks_depth(self):
         depths = []
         net = Network()
-        net.on_backlog = lambda port, depth: depths.append((port, depth))
+        net.obs = Observers([SimpleNamespace(
+            on_backlog=lambda port, depth: depths.append((port, depth)))])
         listener = net.bind_listen(7007, 4)
         net.connect(LOCALHOST, 7007)
         net.connect(LOCALHOST, 7007)

@@ -8,11 +8,14 @@ cover all three hook sites end to end plus the bit-identity contract.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConfigError, QuotaFault
 from repro.machine import MachineConfig
 from repro.quota import QuotaSpec, QuotaTable, parse_quota_spec
+from repro.trace import Observers
 from tests.golite_helpers import run_golite
 
 
@@ -127,7 +130,8 @@ class TestQuotaTable:
     def test_exceeded_log_and_callback(self):
         table = QuotaTable("t_1:steps=1")
         seen = []
-        table.on_exceeded = lambda env, res: seen.append((env, res))
+        table.obs = Observers([SimpleNamespace(
+            on_quota=lambda env, res, limit, used: seen.append((env, res)))])
         with pytest.raises(QuotaFault):
             table.charge_steps(_Env("t_1"), 5)
         assert table.exceeded == [("t_1", "steps")]

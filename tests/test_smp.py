@@ -291,7 +291,7 @@ class TestSpanPropagationSMP:
                                else ctx_producer)
             spawned.append(child)
 
-        recorder.on_spawn = stamp_spawn
+        machine.obs.spawn = stamp_spawn
         result = machine.run()
         assert result.status == "exited", machine.fault
         assert machine.read_global("main.out") == 8

@@ -223,7 +223,7 @@ class TestDisabledTracer:
         machine.run()
         for obj in (machine, machine.mmu, machine.kernel,
                     machine.litterbox, machine.scheduler):
-            assert obj.tracer is None
+            assert obj.obs is None
 
 
 class TestChromeExport:
