@@ -436,3 +436,33 @@ class TestContainTracing:
         names = [e.name for e in driver.machine.tracer.events
                  if e.cat == "contain"]
         assert "contain:quarantine" in names
+
+
+#: A denied syscall inside an enclosure: ``none`` grants no system call,
+#: so ``println``'s write is the fault's root cause on every backend.
+DENIED_PRINT = """
+package main
+
+func main() {
+    f := with "none" func() int {
+        println(1)
+        return 0
+    }
+    println(f())
+}
+"""
+
+
+class TestFlightRecorderRootCause:
+    @pytest.mark.parametrize("backend", ENFORCING)
+    def test_denied_syscall_verdict_precedes_fault(self, backend):
+        """Every backend's FilterSyscall verdict reaches the flight
+        recorder, so the dump shipped with a contained syscall fault
+        ends with its root cause: the kill verdict, then the fault."""
+        machine, result = run_golite(DENIED_PRINT, config=MachineConfig(
+            backend=backend, fault_policy="kill-goroutine", spans=True))
+        assert result.status == "killed", result.status
+        dumps = machine.containment_report()["flight_recorder"]["dumps"]
+        assert len(dumps) == 1 and dumps[0]["kind"] == "syscall"
+        kinds = [event["kind"] for event in dumps[0]["events"]]
+        assert kinds[-2:] == ["filter:kill", "fault"], kinds
