@@ -48,6 +48,29 @@ class TestRun:
         assert "repro:" in capsys.readouterr().err
 
 
+class TestConfigErrors:
+    """Out-of-range observer settings exit 2 with a named ConfigError
+    message instead of a traceback or a silently absurd run."""
+
+    def test_zero_profile_period(self, golite_files, tmp_path, capsys):
+        code = main(["run", *golite_files, "--profile",
+                     str(tmp_path / "out.folded"), "--profile-period", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "repro: profile_period_ns must be > 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sample", ["2", "-1"])
+    def test_span_sample_out_of_range(self, capsys, sample):
+        code = main(["loadtest", "--backends", "mpk", "--offered", "10000",
+                     "--requests", "4", "--span-sample", sample])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repro: span_sample must be within [0, 1]" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestLayoutAndViews:
     def test_layout(self, golite_files, capsys):
         assert main(["layout", *golite_files]) == 0

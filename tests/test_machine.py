@@ -18,6 +18,30 @@ class TestConfiguration:
         with pytest.raises(ConfigError, match="backend"):
             Machine(build_image(), MachineConfig(backend="sgx"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("profile_period_ns", 0.0),
+        ("profile_period_ns", -5.0),
+        ("profile_period_ns", float("nan")),
+        ("span_sample", 2.0),
+        ("span_sample", -1.0),
+        ("span_sample", float("nan")),
+        ("span_slo_ns", 0.0),
+        ("span_slo_ns", -1.0),
+        ("span_ring", 0),
+        ("span_ring", -1),
+    ])
+    def test_observer_settings_validated_at_the_boundary(self, field,
+                                                         value):
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(spans=True, profile=True, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("profile_period_ns", 1e-3), ("span_sample", 0.0),
+        ("span_sample", 1.0), ("span_slo_ns", 1.0), ("span_ring", 1),
+    ])
+    def test_observer_settings_accept_range_edges(self, field, value):
+        assert getattr(MachineConfig(**{field: value}), field) == value
+
     def test_backend_objects(self):
         from repro.core.backends import BaselineBackend
         from repro.core.lb_mpk import MPKBackend
