@@ -295,8 +295,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 spans=spans_on, span_sample=args.span_sample,
                 inject=args.inject)
             results.extend(sweep)
-            slo_ns = args.slo_ms * 1e6
-            capacity = loadgen.capacity_at_slo(sweep, slo_ns)
+            capacity = loadgen.capacity_at_slo(sweep, args.slo_ms)
             print(f"-- loadtest[{backend}/{policy}]: capacity at "
                   f"p99<{args.slo_ms:g}ms = {capacity:.0f} req/s "
                   f"(cores={args.cores})",

@@ -17,6 +17,15 @@ class ConfigError(SimError):
     """An invalid configuration was passed to a simulated component."""
 
 
+def require(*rules: tuple[str, object, bool, str]) -> None:
+    """Reject out-of-range settings at a component's boundary: raise a
+    :class:`ConfigError` naming the first ``(name, value, ok, rule)``
+    whose ``ok`` is false, as "<name> must be <rule>, got <value>"."""
+    for name, value, ok, rule in rules:
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
 class Fault(SimError):
     """A hardware-detected access violation.
 

@@ -19,7 +19,7 @@ from repro.core.enclosure import LITTERBOX_SUPER
 from repro.core.lb_mpk import MPKBackend
 from repro.core.lb_vtx import VTXBackend
 from repro.core.litterbox import LitterBox
-from repro.errors import ConfigError, Fault
+from repro.errors import ConfigError, Fault, require
 from repro.hw.clock import COSTS, SimClock
 from repro.hw.cpu import CPU
 from repro.hw.mmu import MMU, TranslationContext
@@ -119,15 +119,14 @@ class MachineConfig:
             raise ConfigError(
                 f"unknown fault_policy {self.fault_policy!r} "
                 f"(choose from {', '.join(FAULT_POLICIES)})")
-        for name, ok, rule in (
-                ("cores", self.cores >= 1, ">= 1"),
-                ("profile_period_ns", self.profile_period_ns > 0, "> 0"),
-                ("span_sample", 0 <= self.span_sample <= 1, "within [0, 1]"),
-                ("span_slo_ns", self.span_slo_ns > 0, "> 0"),
-                ("span_ring", self.span_ring >= 1, ">= 1")):
-            if not ok:
-                raise ConfigError(
-                    f"{name} must be {rule}, got {getattr(self, name)}")
+        require(
+            ("cores", self.cores, self.cores >= 1, ">= 1"),
+            ("profile_period_ns", self.profile_period_ns,
+             self.profile_period_ns > 0, "> 0"),
+            ("span_sample", self.span_sample,
+             0 <= self.span_sample <= 1, "within [0, 1]"),
+            ("span_slo_ns", self.span_slo_ns, self.span_slo_ns > 0, "> 0"),
+            ("span_ring", self.span_ring, self.span_ring >= 1, ">= 1"))
 
 
 FAULT_POLICIES = ("abort", "kill-goroutine", "quarantine")

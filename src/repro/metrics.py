@@ -228,36 +228,6 @@ class Histogram(MetricFamily):
         child = self._children.get(self._key(labels))
         return child.count if child is not None else 0
 
-    def quantile(self, q: float, **labels: str) -> float:
-        """Estimate the ``q``-quantile (0 < q <= 1) from bucket counts.
-
-        Linear interpolation within the bucket holding the target rank,
-        the standard Prometheus ``histogram_quantile`` estimate.  Values
-        in the ``+Inf`` bucket clamp to the largest finite bound.
-        Returns 0.0 for an empty child — NaN poisons downstream
-        comparisons (every ``p99 < slo`` check silently fails) and
-        serialises asymmetrically in JSON, so "no observations" reads
-        as the identity latency instead.  Deterministic: depends only
-        on bucket counts.
-        """
-        child = self._children.get(self._key(labels))
-        if child is None or child.count == 0:
-            return 0.0
-        rank = q * child.count
-        cumulative = 0
-        lower = 0.0
-        for bound, n in zip(self.buckets, child.counts):
-            if n:
-                cumulative += n
-                if cumulative >= rank:
-                    if bound == float("inf"):
-                        return lower
-                    frac = (rank - (cumulative - n)) / n
-                    return lower + frac * (bound - lower)
-            if bound != float("inf"):
-                lower = bound
-        return lower
-
     def samples(self, const):
         for key in sorted(self._children):
             child = self._children[key]

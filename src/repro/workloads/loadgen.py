@@ -23,8 +23,9 @@ Mechanics:
 * outcomes are classified: ``ok`` (200), ``shed`` (server 503),
   ``refused`` (kernel accept-queue refusal at connect), ``reset``
   (connection died mid-request);
-* latencies are observed into the machine's ``http_request_latency_ns``
-  histogram (workload="loadgen") and quantiles are read back from it.
+* p50/p99/p999 are exact order statistics (:func:`quantile`); the
+  ``http_request_latency_ns`` histogram (workload="loadgen") only
+  exposes the same latencies, with trace-id exemplars.
 
 Everything is deterministic for a fixed seed: arrivals are
 pre-generated, the simulation is single-threaded, and no wall-clock
@@ -33,9 +34,12 @@ value is consulted anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
+from repro.errors import require
 from repro.machine import MachineConfig
 from repro.os.net import LOCALHOST
 from repro.workloads import asynchttp
@@ -48,10 +52,23 @@ REQUEST_KEEPALIVE = (b"GET /index.html HTTP/1.1\r\n"
                      b"Accept: text/html\r\n\r\n")
 
 
+def quantile(sorted_ns: list[float], q: float) -> float:
+    """Nearest rank: the smallest sample of an ascending list with at
+    least ``q * n`` samples at or below it, ``q`` taken as its decimal
+    string (p999 of 1500 is rank 1499, not a float artefact).  Empty
+    gives 0.0: NaN would fail every ``p99 <= slo`` test silently."""
+    if not sorted_ns:
+        return 0.0
+    rank = math.ceil(Fraction(str(q)) * len(sorted_ns))
+    return sorted_ns[max(1, rank) - 1]
+
+
 # -- arrival processes --------------------------------------------------------
 
 def poisson_arrivals(rate_rps: float, count: int, seed: int) -> list[float]:
     """``count`` arrival times (sim-ns) with exponential inter-arrivals."""
+    require(("arrival rate", rate_rps, rate_rps > 0, "> 0 req/s"),
+            ("arrival count", count, count >= 1, ">= 1"))
     rng = random.Random(seed)
     t = 0.0
     out = []
@@ -66,6 +83,8 @@ def bursty_arrivals(rate_rps: float, count: int, seed: int,
     """On/off-modulated Poisson: the same average ``rate_rps``, but all
     arrivals land in the first ``duty`` fraction of each ``cycle_ns``
     window at ``rate/duty`` intensity — production-shaped bursts."""
+    require(("arrival rate", rate_rps, rate_rps > 0, "> 0 req/s"),
+            ("arrival count", count, count >= 1, ">= 1"))
     rng = random.Random(seed)
     burst_rate = rate_rps / duty
     window = cycle_ns * duty
@@ -169,8 +188,9 @@ class LoadResult:
     registry: object = field(default=None, repr=False)
 
     def slo_met(self, slo_ms: float = DEFAULT_SLO_MS) -> bool:
-        """The table's "p99<SLO" verdict — the single source of truth,
-        so the JSON report and the markdown table can never disagree."""
+        """The "p99<SLO" verdict: the one source for the capacity line,
+        the JSON report and the markdown table."""
+        require(("slo_ms", slo_ms, slo_ms > 0, "> 0"))
         return bool(self.ok and self.p99_ns <= slo_ms * 1e6)
 
     def to_dict(self, slo_ms: float = DEFAULT_SLO_MS) -> dict:
@@ -202,17 +222,18 @@ class OpenLoopLoadGen:
     def __init__(self, machine, arrivals: list[float], pool: int,
                  port: int = asynchttp.PORT,
                  ports: list[int] | None = None):
+        require(("pool", pool, pool >= 1, ">= 1"))
         self.machine = machine
         self.net = machine.kernel.net
         self.clock = machine.clock
         self.arrivals = arrivals
-        #: One listener port per server worker; slots are assigned
-        #: round-robin so a multi-worker (SMP) server sees its offered
-        #: load spread across every readiness loop.
+        #: One listener port per server worker; slots (at least one per
+        #: port) are assigned round-robin so a multi-worker (SMP) server
+        #: sees its offered load spread across every readiness loop.
         self.ports = list(ports) if ports else [port]
         self.port = self.ports[0]
         self.slots = [_Slot(self.ports[i % len(self.ports)])
-                      for i in range(max(1, pool))]
+                      for i in range(max(pool, len(self.ports)))]
         self.ok = 0
         self.shed = 0
         self.refused = 0
@@ -385,20 +406,11 @@ class OpenLoopLoadGen:
             offered_rps=0.0, requests=total,
             ok=self.ok, shed=self.shed, refused=self.refused,
             reset=self.reset, duration_ns=duration)
-        result.latencies_ns = sorted(self.latencies)
+        lats = result.latencies_ns = sorted(self.latencies)
         if duration > 0:
             result.goodput_rps = self.ok / (duration * 1e-9)
-        metrics = self.machine.metrics
-        hist = (metrics.request_latency if metrics is not None else None)
-        if hist is not None and hist.child_count(workload=WORKLOAD_LABEL):
-            result.p50_ns = hist.quantile(0.50, workload=WORKLOAD_LABEL)
-            result.p99_ns = hist.quantile(0.99, workload=WORKLOAD_LABEL)
-            result.p999_ns = hist.quantile(0.999, workload=WORKLOAD_LABEL)
-        elif result.latencies_ns:
-            lats = result.latencies_ns
-            result.p50_ns = lats[int(0.50 * (len(lats) - 1))]
-            result.p99_ns = lats[int(0.99 * (len(lats) - 1))]
-            result.p999_ns = lats[int(0.999 * (len(lats) - 1))]
+        result.p50_ns, result.p99_ns, result.p999_ns = (
+            quantile(lats, q) for q in (0.50, 0.99, 0.999))
         return result
 
 
@@ -434,7 +446,7 @@ def run_level(backend: str, offered_rps: float, requests: int, seed: int,
         backend, config=config, maxconns=maxconns, backlog=backlog,
         workers=workers)
     ports = [asynchttp.PORT + i for i in range(workers)]
-    gen = OpenLoopLoadGen(machine, arrivals, max(pool, workers), ports=ports)
+    gen = OpenLoopLoadGen(machine, arrivals, pool, ports=ports)
     result = gen.run()
     result.process = process
     result.offered_rps = offered_rps
@@ -453,13 +465,11 @@ def run_sweep(backend: str, offered: tuple[float, ...] = DEFAULT_OFFERED,
             for rps in offered]
 
 
-def capacity_at_slo(results: list[LoadResult], slo_ns: float) -> float:
-    """Highest goodput among levels whose p99 met the SLO."""
-    best = 0.0
-    for r in results:
-        if r.ok and r.p99_ns <= slo_ns:
-            best = max(best, r.goodput_rps)
-    return best
+def capacity_at_slo(results: list[LoadResult],
+                    slo_ms: float = DEFAULT_SLO_MS) -> float:
+    """Highest goodput among levels that meet the SLO."""
+    return max((r.goodput_rps for r in results if r.slo_met(slo_ms)),
+               default=0.0)
 
 
 def format_table(results: list[LoadResult],

@@ -35,6 +35,9 @@ covered by committed sim-ns baselines and stay bit-identical.
 
 from __future__ import annotations
 
+import math
+
+from repro.errors import require
 from repro.golite import compile_program
 from repro.image.linker import link
 from repro.machine import Machine, MachineConfig
@@ -44,6 +47,7 @@ from repro.workloads.loadgen import (
     ARRIVAL_PROCESSES,
     OpenLoopLoadGen,
     _Recorder,
+    quantile,
 )
 
 PORT = 8083
@@ -284,9 +288,21 @@ def assign_profiles(count: int, faulty_frac: float = 0.10,
                     memhog_frac: float = 0.05) -> dict[str, str]:
     """Deterministic tenant -> profile map: the misbehaving tenants are
     spread evenly through the id space (no seams at round numbers)."""
+    fracs = {"faulty_frac": faulty_frac, "cpuhog_frac": cpuhog_frac,
+             "memhog_frac": memhog_frac}
+    total = math.fsum(fracs.values())
+    require(("tenants", count, count >= 1, ">= 1"),
+            *((name, frac, 0 <= frac <= 1, "within [0, 1]")
+              for name, frac in fracs.items()),
+            (" + ".join(fracs), total, total <= 1, "<= 1"))
     n_faulty = round(count * faulty_frac)
     n_cpu = round(count * cpuhog_frac)
     n_mem = round(count * memhog_frac)
+    # Rounding can overshoot a valid sum (0.5 + 0.5 of 3 tenants is
+    # 2 + 2), and spread() would then invent tenants past ``count``.
+    misbehaving = n_faulty + n_cpu + n_mem
+    require(("misbehaving tenants", misbehaving, misbehaving <= count,
+             f"<= tenants ({count})"))
     profiles = {tenant_name(i): "healthy" for i in range(count)}
     taken: set[int] = set()
 
@@ -597,12 +613,6 @@ class TenantLoadGen(OpenLoopLoadGen):
             self.manager.poll()
 
 
-def _quantile(sorted_ns: list[float], q: float) -> float:
-    if not sorted_ns:
-        return 0.0
-    return sorted_ns[int(q * (len(sorted_ns) - 1))]
-
-
 # -- the study ----------------------------------------------------------------
 
 def _healthy_latency_summary(gen: TenantLoadGen,
@@ -611,9 +621,9 @@ def _healthy_latency_summary(gen: TenantLoadGen,
                   for lat in gen.per_tenant[name]["latencies"])
     return {
         "requests": len(lats),
-        "p50_us": round(_quantile(lats, 0.50) / 1e3, 1),
-        "p99_us": round(_quantile(lats, 0.99) / 1e3, 1),
-        "p999_us": round(_quantile(lats, 0.999) / 1e3, 1),
+        "p50_us": round(quantile(lats, 0.50) / 1e3, 1),
+        "p99_us": round(quantile(lats, 0.99) / 1e3, 1),
+        "p999_us": round(quantile(lats, 0.999) / 1e3, 1),
     }
 
 

@@ -48,9 +48,35 @@ class TestRun:
         assert "repro:" in capsys.readouterr().err
 
 
+#: One bad value per load-generator field, and the message it must name.
+BAD_LOAD_INPUT = [
+    ("loadtest", ["--offered", "0"], "arrival rate must be > 0 req/s"),
+    ("loadtest", ["--offered", "-5"], "arrival rate must be > 0 req/s"),
+    ("loadtest", ["--requests", "0"], "arrival count must be >= 1"),
+    ("loadtest", ["--pool", "0"], "pool must be >= 1"),
+    ("loadtest", ["--slo-ms", "0"], "slo_ms must be > 0"),
+    ("tenants", ["--rate", "0"], "arrival rate must be > 0 req/s"),
+    ("tenants", ["--requests", "0"], "arrival count must be >= 1"),
+    ("tenants", ["--pool", "0"], "pool must be >= 1"),
+    ("tenants", ["--tenants", "0"], "tenants must be >= 1"),
+    ("tenants", ["--faulty-frac", "2"],
+     "faulty_frac must be within [0, 1]"),
+    ("tenants", ["--cpuhog-frac", "-0.1"],
+     "cpuhog_frac must be within [0, 1]"),
+    ("tenants", ["--memhog-frac", "1.5"],
+     "memhog_frac must be within [0, 1]"),
+    ("tenants", ["--faulty-frac", "0.6", "--memhog-frac", "0.5"],
+     "faulty_frac + cpuhog_frac + memhog_frac must be <= 1"),
+    ("tenants", ["--tenants", "3", "--faulty-frac", "0.5",
+                 "--cpuhog-frac", "0.5", "--memhog-frac", "0"],
+     "misbehaving tenants must be <= tenants (3), got 4"),
+]
+
+
 class TestConfigErrors:
-    """Out-of-range observer settings exit 2 with a named ConfigError
-    message instead of a traceback or a silently absurd run."""
+    """Out-of-range observer and load-generator settings exit 2 with a
+    named ConfigError message instead of a traceback or a silently
+    absurd run."""
 
     def test_zero_profile_period(self, golite_files, tmp_path, capsys):
         code = main(["run", *golite_files, "--profile",
@@ -67,6 +93,24 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert "repro: span_sample must be within [0, 1]" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    SMALL_RUN = {
+        "loadtest": ["--backends", "mpk", "--offered", "10000",
+                     "--requests", "4"],
+        "tenants": ["--backends", "mpk", "--tenants", "4",
+                    "--requests", "4", "--rate", "2000"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flags, message", BAD_LOAD_INPUT,
+        ids=[f"{c} {' '.join(f)}" for c, f, _ in BAD_LOAD_INPUT])
+    def test_load_generator_input(self, capsys, command, flags, message):
+        code = main([command, *self.SMALL_RUN[command], *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"repro: {message}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -6,6 +6,7 @@ readiness semantics, and the open-loop load generator's determinism.
 """
 
 from collections import deque
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -284,7 +285,51 @@ class TestLoadGen:
             backend="mpk", process="poisson", offered_rps=rps,
             requests=10, ok=10, goodput_rps=rps, p99_ns=p99)
         results = [mk(5_000, 1e5), mk(10_000, 2e5), mk(20_000, 9e6)]
-        assert loadgen.capacity_at_slo(results, slo_ns=1e6) == 10_000
+        assert loadgen.capacity_at_slo(results, slo_ms=1.0) == 10_000
         table = loadgen.format_table(results)
         assert table.count("\n") == len(results) + 1
         assert "| yes |" in table and "| no |" in table
+
+
+def _order_statistic(samples: list[float], q: float) -> float:
+    """Brute-force nearest rank: the smallest sample with at least
+    ``q * n`` samples at or below it."""
+    need = Fraction(str(q)) * len(samples)
+    return min((x for x in samples
+                if sum(v <= x for v in samples) >= need), default=0.0)
+
+
+def _ranks(n: int) -> list[float]:
+    """``1.0 .. n``: each sample's value is its 1-based rank."""
+    return [float(i) for i in range(1, n + 1)]
+
+
+class TestExactQuantiles:
+    """Reported latency quantiles are exact order statistics, whoever is
+    observing the machine."""
+
+    @pytest.mark.parametrize("samples, q, expected", [
+        ([], 0.99, 0.0),
+        ([42.0], 0.5, 42.0),
+        ([42.0], 0.999, 42.0),
+        (_ranks(10), 1.0, 10.0),
+        (_ranks(4), 0.5, 2.0),
+        ([1.0, 1.0, 2.0, 2.0, 2.0, 9.0], 0.5, 2.0),
+        (_ranks(300), 0.99, 297.0),
+        (_ranks(1500), 0.999, 1499.0),
+    ], ids=["empty", "n1-p50", "n1-p999", "q1", "p50-even", "ties",
+            "p99-n300", "p999-n1500"])
+    def test_quantile_is_the_order_statistic(self, samples, q, expected):
+        value = loadgen.quantile(samples, q)
+        assert value == expected == _order_statistic(samples, q)
+
+    def test_metrics_on_and_off_report_the_same_quantiles(self):
+        on = loadgen.run_level("mpk", 40_000.0, 300, 1)
+        off = loadgen.run_level("mpk", 40_000.0, 300, 1,
+                                config=MachineConfig(backend="mpk"))
+        assert on.registry is not None and off.registry is None
+        assert on.latencies_ns == off.latencies_ns
+        for q, p in ((0.50, "p50_ns"), (0.99, "p99_ns"),
+                     (0.999, "p999_ns")):
+            exact = _order_statistic(on.latencies_ns, q)
+            assert getattr(on, p) == getattr(off, p) == exact

@@ -316,20 +316,6 @@ class TestHistogramExemplars:
             assert trace_id in kept_ids
 
 
-class TestQuantileEmpty:
-    def test_empty_child_is_zero_not_nan(self):
-        hist = Histogram("h", "help", ("workload",))
-        value = hist.quantile(0.99, workload="nothing")
-        assert value == 0.0
-        assert value == value  # not NaN
-
-    def test_observed_child_still_interpolates(self):
-        hist = Histogram("h", "help")
-        for v in (100.0, 200.0, 300.0):
-            hist.observe(v)
-        assert hist.quantile(0.99) > 0.0
-
-
 # -- loadtest report parity (satellite) ---------------------------------------
 
 class TestReportParity:
