@@ -25,9 +25,9 @@ import argparse
 import pathlib
 import sys
 
-from repro.errors import SimError
+from repro.errors import SimError, require
 from repro.golite import build_program
-from repro.machine import Machine, MachineConfig
+from repro.machine import BACKENDS, Machine, MachineConfig
 
 
 def _read_sources(paths: list[str]) -> list[str]:
@@ -80,6 +80,15 @@ def _emit_observability(machine: Machine, args: argparse.Namespace) -> None:
                   file=sys.stderr)
     if getattr(args, "jit_stats", False):
         print(f"-- {machine.perf.describe_jit()}", file=sys.stderr)
+
+
+def _backend_list(names: str) -> list[str]:
+    """Split a ``--backends`` list, rejecting an unknown name before
+    any level runs."""
+    backends = names.split(",")
+    for name in backends:
+        MachineConfig(backend=name)
+    return backends
 
 
 def _print_stats(machine: Machine) -> None:
@@ -281,11 +290,13 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.workloads import loadgen
 
     offered = tuple(float(x) for x in args.offered.split(","))
+    backends = _backend_list(args.backends)
+    require(("slo_ms", args.slo_ms, args.slo_ms > 0, "> 0"))
     policies = {"on": ["quarantine"], "off": ["abort"],
                 "both": ["abort", "quarantine"]}[args.containment]
     spans_on = args.spans is not None or args.flight is not None
     results = []
-    for backend in args.backends.split(","):
+    for backend in backends:
         for policy in policies:
             sweep = loadgen.run_sweep(
                 backend, offered=offered, requests=args.requests,
@@ -362,10 +373,11 @@ def cmd_tenants(args: argparse.Namespace) -> int:
 
     from repro.workloads import tenants as tenants_mod
 
+    backends = _backend_list(args.backends)
     results = []
     recorders = []
     status = 0
-    for backend in args.backends.split(","):
+    for backend in backends:
         spans_out = [] if args.spans is not None else None
         report = tenants_mod.run_tenants_study(
             backend, tenants=args.tenants, requests=args.requests,
@@ -450,7 +462,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_micro(args: argparse.Namespace) -> int:
     from benchmarks.test_table1_micro import (
-        BACKENDS,
+        BACKENDS as TABLE1_BACKENDS,
         PAPER,
         measure_call,
         measure_syscall,
@@ -461,7 +473,7 @@ def cmd_micro(args: argparse.Namespace) -> int:
                           ("transfer", measure_transfer),
                           ("syscall", measure_syscall)):
         row = f"{name:<10}"
-        for backend in BACKENDS:
+        for backend in TABLE1_BACKENDS:
             row += f"{measure(backend):>10.0f}"
         paper = PAPER[name]
         row += f"   {paper['baseline']}/{paper['mpk']}/{paper['vtx']}"
@@ -503,8 +515,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="compile and run Golite sources")
     p_run.add_argument("files", nargs="+")
-    p_run.add_argument("--backend", default="mpk",
-                       choices=["baseline", "mpk", "vtx", "lwc"])
+    p_run.add_argument("--backend", default="mpk", choices=BACKENDS)
     p_run.add_argument("--stats", action="store_true")
     p_run.add_argument("--trace", metavar="OUT.json", default=None,
                        help="enable the enforcement-event tracer and "
@@ -525,8 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     p_macro = sub.add_parser(
         "macro", help="drive the HTTP macro workload (CI containment "
                       "smoke under --inject)")
-    p_macro.add_argument("--backend", default="mpk",
-                         choices=["baseline", "mpk", "vtx", "lwc"])
+    p_macro.add_argument("--backend", default="mpk", choices=BACKENDS)
     p_macro.add_argument("--requests", type=int, default=20)
     p_macro.add_argument("--fault-policy", default="abort",
                          choices=["abort", "kill-goroutine", "quarantine"])

@@ -44,6 +44,7 @@ class MPKBackend(Backend):
     """Intel MPK enforcement."""
 
     name = "mpk"
+    boot_pkru = PKRU_ALLOW_ALL
 
     def __init__(self, virtualize_keys: bool = False,
                  arg_rules: list[ArgRule] | None = None):

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.backends import Backend, BaselineBackend
+from repro.core.backends import BaselineBackend
 from repro.core.enclosure import LITTERBOX_SUPER
+from repro.core.lb_lwc import LWCBackend
 from repro.core.lb_mpk import MPKBackend
 from repro.core.lb_vtx import VTXBackend
 from repro.core.litterbox import LitterBox
@@ -23,7 +24,6 @@ from repro.errors import ConfigError, Fault, require
 from repro.hw.clock import COSTS, SimClock
 from repro.hw.cpu import CPU
 from repro.hw.mmu import MMU, TranslationContext
-from repro.hw.mpk import PKRU_ALLOW_ALL
 from repro.hw.pages import PAGE_SIZE
 from repro.hw.pagetable import PageTable
 from repro.hw.physmem import PhysicalMemory
@@ -46,7 +46,7 @@ from repro.trace import Observers, Tracer
 
 @dataclass
 class MachineConfig:
-    backend: str = "baseline"          # baseline | mpk | vtx | lwc
+    backend: str = "baseline"          # a name in BACKENDS
     #: Simulated CPU cores.  ``1`` is the historical single-core
     #: machine, bit-identical with every prior release; ``N > 1``
     #: builds N CPUs (each with a private TLB and PKRU) under one
@@ -115,10 +115,12 @@ class MachineConfig:
     def __post_init__(self) -> None:
         """Reject out-of-range settings at the boundary with a named
         :class:`ConfigError`, not a traceback deep inside a run."""
-        if self.fault_policy not in FAULT_POLICIES:
-            raise ConfigError(
-                f"unknown fault_policy {self.fault_policy!r} "
-                f"(choose from {', '.join(FAULT_POLICIES)})")
+        for name, value, choices in (
+                ("backend", self.backend, BACKENDS),
+                ("fault_policy", self.fault_policy, FAULT_POLICIES)):
+            if value not in choices:
+                raise ConfigError(f"unknown {name} {value!r} "
+                                  f"(choose from {', '.join(choices)})")
         require(
             ("cores", self.cores, self.cores >= 1, ">= 1"),
             ("profile_period_ns", self.profile_period_ns,
@@ -130,6 +132,17 @@ class MachineConfig:
 
 
 FAULT_POLICIES = ("abort", "kill-goroutine", "quarantine")
+
+#: Backend name -> constructor ``fn(config, kernel)``: the one place a
+#: backend is named.  ``MachineConfig`` and the CLI choose from it.
+BACKENDS = {
+    "baseline": lambda config, kernel: BaselineBackend(),
+    "mpk": lambda config, kernel: MPKBackend(
+        virtualize_keys=config.virtualize_keys, arg_rules=config.arg_rules),
+    "vtx": lambda config, kernel: VTXBackend(
+        KVMDevice(kernel, kernel.clock), arg_rules=config.arg_rules),
+    "lwc": lambda config, kernel: LWCBackend(),
+}
 
 
 class Machine:
@@ -185,26 +198,17 @@ class Machine:
             self.profiler.pc_provider = (
                 lambda: self.scheduler.current_core.cpu.pc)
 
-        backend = self._make_backend(config)
+        backend = BACKENDS[config.backend](config, self.kernel)
         self.backend = backend
         self.litterbox = LitterBox(backend, self.kernel, self.mmu, self.clock)
         self.litterbox.jit_flush = self.interp.flush_jit
         self.litterbox.trusted_ctx = TranslationContext(
             page_table=self.host_table, pkru=None)
 
-        pkru = PKRU_ALLOW_ALL if config.backend == "mpk" else None
         self.cpu.ctx = TranslationContext(page_table=self.host_table,
-                                          pkru=pkru)
-        self.cpu.guest_mode = config.backend == "vtx"
-
+                                          pkru=backend.boot_pkru)
         self.litterbox.init(image)
-        if config.backend == "vtx":
-            vtx: VTXBackend = backend
-            # Entering guest mode installs a new CR3 and the EPT: any
-            # translations cached during loading are flushed.
-            self.cpu.ctx.page_table = vtx.trusted_table
-            self.cpu.ctx.ept = vtx.vm.vmcs.ept
-            self.mmu.flush_tlb(self.cpu.ctx)
+        backend.boot(self.cpu.ctx)
 
         # Further cores (SMP): each gets its own translation context —
         # a private software TLB and PKRU cell — starting from core 0's
@@ -213,7 +217,6 @@ class Machine:
         self.cpus = [self.cpu]
         for _ in range(1, config.cores):
             cpu = CPU(mmu=self.mmu, clock=self.clock)
-            cpu.guest_mode = self.cpu.guest_mode
             cpu.ctx = TranslationContext(
                 page_table=self.cpu.ctx.page_table,
                 pkru=self.cpu.ctx.pkru,
@@ -281,8 +284,7 @@ class Machine:
         self.obs = Observers(subscribers) if subscribers else None
         for part in (self, self.mmu, self.kernel, self.kernel.net,
                      self.litterbox, self.scheduler, self.channels,
-                     self.allocator, self.quota,
-                     backend.vm if config.backend == "vtx" else None):
+                     self.allocator, self.quota, *backend.observed_parts()):
             if part is not None:
                 part.obs = self.obs
 
@@ -395,20 +397,6 @@ class Machine:
 
     # ------------------------------------------------------------------ setup
 
-    def _make_backend(self, config: MachineConfig) -> Backend:
-        if config.backend == "baseline":
-            return BaselineBackend()
-        if config.backend == "mpk":
-            return MPKBackend(virtualize_keys=config.virtualize_keys,
-                              arg_rules=config.arg_rules)
-        if config.backend == "lwc":
-            from repro.core.lb_lwc import LWCBackend
-            return LWCBackend()
-        if config.backend == "vtx":
-            return VTXBackend(KVMDevice(self.kernel, self.clock),
-                              arg_rules=config.arg_rules)
-        raise ConfigError(f"unknown backend {config.backend!r}")
-
     def _load_image(self) -> None:
         """Map every linked section and copy its initial contents."""
         for load in self.image.sections:
@@ -468,9 +456,7 @@ class Machine:
             self.obs.finish()
         if result.status == "faulted":
             self.fault = result.fault
-            if self.config.backend == "vtx":
-                # A fault triggers a VM EXIT before the program aborts.
-                self.clock.tick("vm_exits", COSTS.VMEXIT_ROUNDTRIP)
+            self.backend.aborted_fault()
             if self.obs is not None:
                 self.obs.violation(
                     "abort", fault=str(result.fault),

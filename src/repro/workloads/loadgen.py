@@ -38,6 +38,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from repro.errors import require
 from repro.machine import MachineConfig
@@ -107,20 +108,29 @@ ARRIVAL_PROCESSES = {
 
 # -- connection slots ---------------------------------------------------------
 
+#: Response status -> outcome; any other status (or none) is a reset.
+_OUTCOMES = {200: "ok", 503: "shed", 500: "failed"}
+
+
+class Arrival(NamedTuple):
+    """One scheduled request, queued on a slot until it completes."""
+
+    due_at: float        # scheduled arrival time (sim-ns)
+    ctx: object          # trace context; ``None`` when spans are off
+    label: str | None    # who the outcome is accounted to (a tenant)
+    request: bytes
+
+
 class _Slot:
     """One keep-alive connection plus its client-side FIFO of arrivals."""
 
-    __slots__ = ("conn", "queue", "ctxq", "inflight_arrival",
-                 "inflight_ctx", "rxbuf", "port")
+    __slots__ = ("conn", "queue", "inflight", "rxbuf", "port")
 
     def __init__(self, port: int = asynchttp.PORT) -> None:
         self.conn = None
-        self.queue: list[float] = []       # scheduled arrival times, FIFO
-        #: Trace contexts in lockstep with ``queue`` (``None`` entries
-        #: when spans are off, so pops never need a guard).
-        self.ctxq: list = []
-        self.inflight_arrival: float | None = None
-        self.inflight_ctx = None
+        self.queue: list[Arrival] = []
+        #: The arrival whose response is awaited, else ``None``.
+        self.inflight: Arrival | None = None
         self.rxbuf = bytearray()
         self.port = port
 
@@ -240,44 +250,49 @@ class OpenLoopLoadGen:
         self.reset = 0
         self.latencies: list[float] = []
 
+    def _arrival(self, index: int, due_at: float, ctx) -> Arrival:
+        """Arrival ``index`` of the schedule, as queued on its slot."""
+        return Arrival(due_at, ctx, None, REQUEST_KEEPALIVE)
+
     # -- response accounting (runs synchronously at delivery) ----------------
 
-    def _complete(self, slot: _Slot, status: int, server_closes: bool) -> None:
-        latency = self.clock.now_ns - slot.inflight_arrival
-        slot.inflight_arrival = None
-        ctx = slot.inflight_ctx
-        slot.inflight_ctx = None
-        if status == 200:
+    def _record(self, arrival: Arrival, outcome: str,
+                latency: float) -> None:
+        """Count one request's outcome; ``latency`` matters for "ok"."""
+        if outcome == "ok":
             self.ok += 1
-            outcome = "ok"
             self.latencies.append(latency)
             metrics = self.machine.metrics
             if metrics is not None:
+                ctx = arrival.ctx
                 metrics.request_latency.observe(
                     latency,
                     exemplar=ctx.hex if ctx is not None else None,
                     workload=WORKLOAD_LABEL)
-        elif status == 503:
+        elif outcome == "shed":
             self.shed += 1
-            outcome = "shed"
-        elif status == 500:
-            # The kernel's reclaim notice: the handling enclosure
-            # faulted and was contained mid-request.
-            self.reset += 1
-            outcome = "failed"
+        elif outcome == "refused":
+            self.refused += 1
         else:
             self.reset += 1
-            outcome = "reset"
+
+    def _complete(self, slot: _Slot, status: int, server_closes: bool) -> None:
+        arrival = slot.inflight
+        slot.inflight = None
+        # A 500 ("failed") is the kernel's reclaim notice: the handling
+        # enclosure faulted and was contained mid-request.
+        outcome = _OUTCOMES.get(status, "reset")
+        self._record(arrival, outcome, self.clock.now_ns - arrival.due_at)
         spans = self.machine.spans
-        if spans is not None and ctx is not None:
-            spans.complete_request(ctx, status, outcome)
+        if spans is not None and arrival.ctx is not None:
+            spans.complete_request(arrival.ctx, status, outcome)
         if server_closes:
             self._drop_conn(slot)
         self._pump_slot(slot)
 
     def _drain_slot(self, slot: _Slot) -> None:
         """Parse complete responses out of the slot's receive buffer."""
-        while slot.inflight_arrival is not None:
+        while slot.inflight is not None:
             buf = slot.rxbuf
             head_end = buf.find(b"\r\n\r\n")
             if head_end < 0:
@@ -296,7 +311,7 @@ class OpenLoopLoadGen:
             self._complete(slot, status, server_closes=closes)
 
     def _slot_eof(self, slot: _Slot) -> None:
-        if slot.inflight_arrival is not None:
+        if slot.inflight is not None:
             # Died mid-request with no complete response buffered.
             self._complete(slot, -1, server_closes=True)
         else:
@@ -322,40 +337,34 @@ class OpenLoopLoadGen:
     def _pump_slot(self, slot: _Slot) -> None:
         """Start the next queued request, reconnecting as needed."""
         spans = self.machine.spans
-        while slot.inflight_arrival is None and slot.queue:
+        while slot.inflight is None and slot.queue:
             if slot.conn is None:
                 conn = self.net.connect(LOCALHOST, slot.port)
                 if isinstance(conn, int):
                     # Kernel accept queue full: instant refusal.
-                    slot.queue.pop(0)
-                    ctx = slot.ctxq.pop(0)
-                    if spans is not None and ctx is not None:
-                        spans.mark_refused(ctx)
-                    self.refused += 1
+                    arrival = slot.queue.pop(0)
+                    if spans is not None and arrival.ctx is not None:
+                        spans.mark_refused(arrival.ctx)
+                    self._record(arrival, "refused", 0.0)
                     continue
                 slot.conn = conn
                 self.net._service_endpoints[id(conn.client)] = \
                     _Recorder(self, slot)
-            slot.inflight_arrival = slot.queue.pop(0)
-            slot.inflight_ctx = slot.ctxq.pop(0)
+            arrival = slot.inflight = slot.queue.pop(0)
             if spans is not None:
                 # The pump often runs synchronously inside the server's
                 # response write, where ``scheduler.current`` is still
                 # the server goroutine: pin the outgoing context so the
                 # wire hook attributes these bytes to the new request.
-                spans.outgoing_ctx = slot.inflight_ctx
-                sent = slot.conn.client.send(REQUEST_KEEPALIVE)
+                spans.outgoing_ctx = arrival.ctx
+                sent = slot.conn.client.send(arrival.request)
                 spans.outgoing_ctx = None
             else:
-                sent = slot.conn.client.send(REQUEST_KEEPALIVE)
+                sent = slot.conn.client.send(arrival.request)
             if sent < 0:
                 # Connection died between responses: retry on a new one.
-                arrival = slot.inflight_arrival
-                ctx = slot.inflight_ctx
-                slot.inflight_arrival = None
-                slot.inflight_ctx = None
+                slot.inflight = None
                 slot.queue.insert(0, arrival)
-                slot.ctxq.insert(0, ctx)
                 self._drop_conn(slot)
 
     def _resume(self) -> None:
@@ -387,11 +396,11 @@ class OpenLoopLoadGen:
                 # still measured from ``due_at`` — queueing counts.)
                 self.clock.charge(due_at - self.clock.now_ns)
             slot = self.slots[next_idx % len(self.slots)]
-            slot.queue.append(due_at)
             spans = self.machine.spans
-            slot.ctxq.append(
+            slot.queue.append(self._arrival(
+                next_idx, due_at,
                 spans.client_arrival(next_idx, due_at)
-                if spans is not None else None)
+                if spans is not None else None))
             self._pump_slot(slot)
             self._resume()
         # Drain: every arrival dispatched; let in-flight work finish.

@@ -41,12 +41,11 @@ from repro.errors import require
 from repro.golite import compile_program
 from repro.image.linker import link
 from repro.machine import Machine, MachineConfig
-from repro.os.net import LOCALHOST
 from repro.workloads.httpserver import ERROR_RESPONSE
 from repro.workloads.loadgen import (
     ARRIVAL_PROCESSES,
+    Arrival,
     OpenLoopLoadGen,
-    _Recorder,
     quantile,
 )
 
@@ -509,12 +508,11 @@ class TenantLoadGen(OpenLoopLoadGen):
     """Open-loop generator that spreads arrivals round-robin over the
     tenant roster and accounts outcomes per tenant.
 
-    Inherits the base slot/recorder machinery; the extra state lives in
-    parallel FIFOs keyed by slot index (arrival ``i`` goes to slot
-    ``i % pool`` and tenant ``i % len(tenants)``, both deterministic,
-    so the tenant queues can be precomputed).  A 500 — the kernel's
-    reclaim notice for a request whose handler goroutine was killed —
-    is a *contained tenant fault*, counted as ``failed``.
+    Arrival ``i`` goes to tenant ``i % len(tenants)`` and carries that
+    tenant as its label, so the base pump and status classification
+    serve both generators.  A 500 — the kernel's reclaim notice for a
+    request whose handler goroutine was killed — is a *contained tenant
+    fault*, counted as ``failed``.
     """
 
     def __init__(self, machine: Machine, arrivals: list[float], pool: int,
@@ -523,86 +521,34 @@ class TenantLoadGen(OpenLoopLoadGen):
         super().__init__(machine, arrivals, pool, port=port)
         self.manager = manager
         self.failed = 0
+        self.tenant_names = list(tenant_names)
         self.per_tenant: dict[str, dict] = {
             name: {"ok": 0, "failed": 0, "shed": 0, "refused": 0,
                    "reset": 0, "latencies": []}
             for name in tenant_names}
-        self._slot_index = {id(slot): i
-                            for i, slot in enumerate(self.slots)}
-        self._tenant_q: list[list[str]] = [[] for _ in self.slots]
-        for i in range(len(arrivals)):
-            self._tenant_q[i % len(self.slots)].append(
-                tenant_names[i % len(tenant_names)])
-        self._inflight_tid: dict[int, str] = {}
 
-    def _request_for(self, name: str) -> bytes:
-        tid = int(name[1:])
-        return (f"GET /t{tid:03d} HTTP/1.1\r\n"
-                f"Host: tenants.local\r\n"
-                f"User-Agent: openloop/1.0 (tenant-study)\r\n\r\n"
-                ).encode()
+    def _arrival(self, index: int, due_at: float, ctx) -> Arrival:
+        name = self.tenant_names[index % len(self.tenant_names)]
+        request = (f"GET /t{int(name[1:]):03d} HTTP/1.1\r\n"
+                   f"Host: tenants.local\r\n"
+                   f"User-Agent: openloop/1.0 (tenant-study)\r\n\r\n"
+                   ).encode()
+        return Arrival(due_at, ctx, name, request)
 
     # -- per-tenant accounting (then defer to the base bookkeeping) ----------
 
-    def _complete(self, slot, status: int, server_closes: bool) -> None:
-        index = self._slot_index[id(slot)]
-        name = self._inflight_tid.pop(index, None)
-        if name is not None:
-            record = self.per_tenant[name]
-            latency = self.clock.now_ns - slot.inflight_arrival
-            if status == 200:
-                record["ok"] += 1
-                record["latencies"].append(latency)
-                metrics = self.machine.metrics
-                if metrics is not None:
-                    metrics.tenant_latency.observe(latency, tenant=name)
-            elif status == 503:
-                record["shed"] += 1
-            elif status == 500:
-                record["failed"] += 1
-                self.failed += 1
-            else:
-                record["reset"] += 1
-        super()._complete(slot, status, server_closes)
-
-    def _pump_slot(self, slot) -> None:
-        index = self._slot_index[id(slot)]
-        tenant_q = self._tenant_q[index]
-        spans = self.machine.spans
-        while slot.inflight_arrival is None and slot.queue:
-            if slot.conn is None:
-                conn = self.net.connect(LOCALHOST, slot.port)
-                if isinstance(conn, int):
-                    slot.queue.pop(0)
-                    ctx = slot.ctxq.pop(0)
-                    if spans is not None and ctx is not None:
-                        spans.mark_refused(ctx)
-                    name = tenant_q.pop(0)
-                    self.refused += 1
-                    self.per_tenant[name]["refused"] += 1
-                    continue
-                slot.conn = conn
-                self.net._service_endpoints[id(conn.client)] = \
-                    _Recorder(self, slot)
-            slot.inflight_arrival = slot.queue.pop(0)
-            slot.inflight_ctx = slot.ctxq.pop(0)
-            name = tenant_q.pop(0)
-            self._inflight_tid[index] = name
-            if spans is not None:
-                spans.outgoing_ctx = slot.inflight_ctx
-                sent = slot.conn.client.send(self._request_for(name))
-                spans.outgoing_ctx = None
-            else:
-                sent = slot.conn.client.send(self._request_for(name))
-            if sent < 0:
-                arrival = slot.inflight_arrival
-                ctx = slot.inflight_ctx
-                slot.inflight_arrival = None
-                slot.inflight_ctx = None
-                slot.queue.insert(0, arrival)
-                slot.ctxq.insert(0, ctx)
-                tenant_q.insert(0, self._inflight_tid.pop(index))
-                self._drop_conn(slot)
+    def _record(self, arrival: Arrival, outcome: str,
+                latency: float) -> None:
+        record = self.per_tenant[arrival.label]
+        record[outcome] += 1
+        if outcome == "ok":
+            record["latencies"].append(latency)
+            metrics = self.machine.metrics
+            if metrics is not None:
+                metrics.tenant_latency.observe(latency, tenant=arrival.label)
+        elif outcome == "failed":
+            self.failed += 1
+        super()._record(arrival, outcome, latency)
 
     def _resume(self) -> None:
         super()._resume()

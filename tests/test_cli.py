@@ -114,6 +114,32 @@ class TestConfigErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["loadtest", "tenants"])
+    def test_unknown_backend_rejected_before_any_level(self, capsys,
+                                                       command):
+        code = main([command, *self.SMALL_RUN[command],
+                     "--backends", "mpk,bogus"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert ("repro: unknown backend 'bogus' "
+                "(choose from baseline, mpk, vtx, lwc)") in captured.err
+        assert f"-- {command}[" not in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_slo_rejected_before_any_level(self, capsys, monkeypatch):
+        from repro.workloads import loadgen
+        levels = []
+        monkeypatch.setattr(loadgen, "run_level",
+                            lambda *args, **kwargs: levels.append(args))
+        code = main(["loadtest", *self.SMALL_RUN["loadtest"],
+                     "--slo-ms", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repro: slo_ms must be > 0, got 0.0" in captured.err
+        assert "-- loadtest[" not in captured.err
+        assert levels == []
+
 
 class TestLayoutAndViews:
     def test_layout(self, golite_files, capsys):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import Fault, QuarantinedFault
+from repro.golite import build_program
 from repro.machine import Machine, MachineConfig
 from repro.workloads.httpserver import ERROR_RESPONSE, run_http_server
 from tests.golite_helpers import run_golite
@@ -185,12 +186,21 @@ class TestQuarantinePolicy:
 
     @pytest.mark.parametrize("backend", ENFORCING)
     def test_quarantine_revokes_backend_state(self, backend):
-        machine, result = run_golite(
-            MAIN_VIOLATOR_APP, SECRETS,
-            config=MachineConfig(backend=backend,
-                                 fault_policy="quarantine",
-                                 quarantine_threshold=1,
-                                 restart_limit=0))
+        machine = Machine(
+            build_program([MAIN_VIOLATOR_APP, SECRETS]),
+            MachineConfig(backend=backend, fault_policy="quarantine",
+                          quarantine_threshold=1, restart_limit=0))
+        # Record the hardware state each environment had when revoked.
+        before = {}
+        revoke = machine.backend.quarantine
+
+        def recording_quarantine(env):
+            before[env.id] = (env.pkru if backend == "mpk"
+                              else env.table.present_vpns())
+            revoke(env)
+
+        machine.backend.quarantine = recording_quarantine
+        result = machine.run()
         assert result.status == "killed"
         lb = machine.litterbox
         assert len(lb.quarantined) == 1
@@ -201,6 +211,15 @@ class TestQuarantinePolicy:
         else:
             assert all(not env.table.lookup(v).present
                        for v in env.table.mapped_vpns())
+
+        # Supervised revival restores exactly the pre-quarantine state.
+        assert lb.revive(env.id)
+        assert env.id not in lb.quarantined
+        if backend == "mpk":
+            assert env.pkru == before[env.id] != PKRU_DENY_ALL_BUT_0
+        else:
+            assert before[env.id]
+            assert env.table.present_vpns() == before[env.id]
 
 
 class TestSupervisedRestart:

@@ -53,7 +53,6 @@ class TestConfiguration:
 
     def test_vtx_runs_inside_a_vm(self):
         machine = Machine(build_image(), "vtx")
-        assert machine.cpu.guest_mode
         backend = machine.backend
         assert backend.vm.vmcs.launched
         assert machine.cpu.ctx.page_table is backend.trusted_table
