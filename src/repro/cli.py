@@ -304,7 +304,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 maxconns=args.maxconns, backlog=args.backlog,
                 fault_policy=policy, cores=args.cores,
                 spans=spans_on, span_sample=args.span_sample,
-                inject=args.inject)
+                slo_ms=args.slo_ms, inject=args.inject)
             results.extend(sweep)
             capacity = loadgen.capacity_at_slo(sweep, args.slo_ms)
             print(f"-- loadtest[{backend}/{policy}]: capacity at "

@@ -47,7 +47,6 @@ from repro.isa.opcodes import (
     FUSED_PAIRS,
     INSTR_SIZE,
     JIT_OP,
-    NUM_OPCODES,
     Op,
 )
 
@@ -82,15 +81,14 @@ class Interpreter:
     """Executes instructions against a :class:`CPU`."""
 
     def __init__(self, mmu: MMU, clock: SimClock, fusion: bool = True,
-                 jit: bool = False, jit_threshold: int = 8):
+                 jit: bool = False, jit_threshold: int = 8, profiler=None):
         self.mmu = mmu
         self.clock = clock
         self.perf = mmu.perf
         #: Whether register_code runs the superinstruction peephole.
         self.fusion = fusion
         #: Trace-JIT compiler (None when the `jit` switch is off); see
-        #: :mod:`repro.isa.jit`.  Engaged only by the slice loops —
-        #: :meth:`step` always interprets.
+        #: :mod:`repro.isa.jit`, engaged by :meth:`run_slice`.
         self.jit = JitCompiler(self, jit_threshold) if jit else None
         #: Architectural instructions retired by complete dispatch
         #: groups of a JIT region before the group that faulted (see
@@ -105,23 +103,11 @@ class Interpreter:
         #: Architectural instructions retired by the most recent
         #: :meth:`run_slice` call (valid even if it raised).
         self.slice_executed = 0
-        #: Sim-time sampling profiler, wired by the machine.  Checked
-        #: once per slice, never per instruction: the null path's loop
-        #: body is untouched (see :meth:`_run_slice_profiled`).
-        self._profiler = None
+        #: Sim-time sampling profiler (None when off), drained by
+        #: :meth:`run_slice` after each interpreted dispatch.  Fixed at
+        #: construction: compiled traces bake in whether they drain it.
+        self.profiler = profiler
         self._dispatch = _build_dispatch()
-
-    @property
-    def profiler(self):
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        # Compiled traces bake in whether they drain the profiler at
-        # group boundaries, so changing the profiler invalidates them.
-        if value is not self._profiler and self.jit is not None:
-            self.jit.flush()
-        self._profiler = value
 
     def register_code(self, base: int, instrs: list[Instr]) -> None:
         code = self.code
@@ -158,124 +144,30 @@ class Interpreter:
             # groups (a fused pair is one group).
             self.jit.register(base, instrs)
 
-    # -- single step -------------------------------------------------------
-
-    def fetch(self, cpu: CPU) -> Instr:
-        """Checked fetch (reference path; ``step`` inlines the fast one)."""
-        self.mmu.check_exec(cpu.ctx, cpu.pc)
-        instr = self.code.get(cpu.pc)
-        if instr is None:
-            raw = self.mmu.read(cpu.ctx, cpu.pc, INSTR_SIZE, charge=False)
-            instr = Instr.decode(raw)
-            self.code[cpu.pc] = instr
-        elif instr.op >= JIT_OP:
-            instr = instr.orig
-        return instr
-
-    def step(self, cpu: CPU) -> int:
-        """Execute one dispatch and return how many architectural
-        instructions it covered (1, or 2 for a fused pair — the
-        scheduler budgets time slices in instructions, not dispatches).
-
-        Raises :class:`WouldBlock` (instruction rolled back),
-        :class:`GoroutineExit`, :class:`MachineHalt`, or a
-        :class:`Fault`.
-        """
-        pc = cpu.pc
-        ctx = cpu.ctx
-        tag = self._exec_tag
-        if tag is None or tag[0] != pc >> PAGE_SHIFT or tag[1] is not ctx \
-                or tag[2] is not ctx.page_table or tag[3] != tag[2].gen \
-                or tag[4] is not ctx.ept \
-                or (tag[4] is not None and tag[5] != tag[4].gen):
-            self.perf.fetch_slow += 1
-            self._exec_tag = self.mmu.exec_tag(ctx, pc)
-        instr = self.code.get(pc)
-        if instr is None:
-            raw = self.mmu.read(ctx, pc, INSTR_SIZE, charge=False)
-            instr = Instr.decode(raw)
-            self.code[pc] = instr
-        op = instr.op
-        if op >= JIT_OP:
-            # Single-step always interprets; region entry is a slice-
-            # loop concern (warm-up counting included, so step-driven
-            # runs stay deterministic).
-            instr = instr.orig
-            op = instr.op
-        self.perf.op_counts[op] += 1
-        handler = self._dispatch[op]
-        if handler is None:  # pragma: no cover
-            raise Fault("exec", f"unknown opcode {op!r} at {pc:#x}")
-        handler(self, cpu, instr)
-        return 1 if op < FUSED_BASE else 2
+    # -- the dispatch loop ---------------------------------------------------
 
     def run_slice(self, cpu: CPU, budget: int) -> int:
         """Execute dispatches until at least ``budget`` architectural
-        instructions have retired; returns the count.
+        instructions have retired; returns the count (a fused pair
+        retires 2 — the scheduler budgets time slices in instructions,
+        not dispatches).
 
-        Semantically identical to looping :meth:`step` — this just
-        hoists the per-step attribute lookups (code cache, dispatch
-        table, perf counters) out of the loop, which is the scheduler's
-        hottest path.  The running count is also stored in
+        The only fetch/dispatch loop: the scheduler drives it per time
+        slice and :meth:`run` (tests, simple programs) for a whole
+        program.  Raises :class:`WouldBlock` (instruction rolled back),
+        :class:`GoroutineExit`, :class:`MachineHalt`, or a
+        :class:`Fault`.  The running count is stored in
         :attr:`slice_executed` *before* any exception propagates, so the
         scheduler's total-instruction accounting (step-budget overrun
         detection) stays exact when a slice ends early on a fault,
         ``WouldBlock``, or exit.
-        """
-        if self.profiler is not None:
-            return self._run_slice_profiled(cpu, budget)
-        executed = 0
-        code = self.code
-        dispatch = self._dispatch
-        perf = self.perf
-        op_counts = perf.op_counts
-        mmu = self.mmu
-        jit_op = JIT_OP
-        self._jit_partial = 0
-        try:
-            while executed < budget:
-                pc = cpu.pc
-                ctx = cpu.ctx
-                tag = self._exec_tag
-                if tag is None or tag[0] != pc >> PAGE_SHIFT \
-                        or tag[1] is not ctx \
-                        or tag[2] is not ctx.page_table \
-                        or tag[3] != tag[2].gen \
-                        or tag[4] is not ctx.ept \
-                        or (tag[4] is not None and tag[5] != tag[4].gen):
-                    perf.fetch_slow += 1
-                    self._exec_tag = mmu.exec_tag(ctx, pc)
-                instr = code.get(pc)
-                if instr is None:
-                    raw = mmu.read(ctx, pc, INSTR_SIZE, charge=False)
-                    instr = Instr.decode(raw)
-                    code[pc] = instr
-                op = instr.op
-                if op >= jit_op:
-                    fn = instr.fn
-                    if fn is not None and budget - executed >= instr.length \
-                            and len(cpu.operands) >= instr.min_depth:
-                        n = fn(self, cpu, budget - executed)
-                        if n:
-                            executed += n
-                            continue
-                    instr = self._jit_fallback(instr, cpu, budget - executed)
-                    op = instr.op
-                op_counts[op] += 1
-                handler = dispatch[op]
-                if handler is None:  # pragma: no cover
-                    raise Fault("exec", f"unknown opcode {op!r} at {pc:#x}")
-                handler(self, cpu, instr)
-                executed += 1 if op < FUSED_BASE else 2
-        finally:
-            self.slice_executed = executed + self._jit_partial
-        return executed
 
-    def _run_slice_profiled(self, cpu: CPU, budget: int) -> int:
-        """:meth:`run_slice` with a retire-boundary drain for the
-        sampling profiler.  A separate copy of the loop so the unprofiled
-        path pays nothing; the drain itself charges no simulated cost,
-        so sim-ns stays bit-identical with profiling on."""
+        With a profiler wired, each interpreted dispatch is followed by
+        a retire-boundary drain; it charges no simulated cost, so sim-ns
+        is bit-identical with profiling on.  Compiled traces drain at
+        their own group boundaries (including the last), so no drain is
+        due after one returns.
+        """
         executed = 0
         code = self.code
         dispatch = self._dispatch
@@ -309,9 +201,6 @@ class Interpreter:
                     fn = instr.fn
                     if fn is not None and budget - executed >= instr.length \
                             and len(cpu.operands) >= instr.min_depth:
-                        # Profiled traces drain at their own group
-                        # boundaries (including the last), so no drain
-                        # is due here.
                         n = fn(self, cpu, budget - executed)
                         if n:
                             executed += n
@@ -324,7 +213,7 @@ class Interpreter:
                     raise Fault("exec", f"unknown opcode {op!r} at {pc:#x}")
                 handler(self, cpu, instr)
                 executed += 1 if op < FUSED_BASE else 2
-                if profiler.next_due <= clock.now_ns:
+                if profiler is not None and profiler.next_due <= clock.now_ns:
                     profiler.drain_retire(pc)
         finally:
             self.slice_executed = executed + self._jit_partial
@@ -624,10 +513,8 @@ class Interpreter:
         Convenience driver for tests and simple programs; multi-goroutine
         programs are driven by the scheduler instead.
         """
-        steps = 0
         try:
-            while steps < max_steps:
-                steps += self.step(cpu)
+            self.run_slice(cpu, max_steps)
         except MachineHalt as halt:
             cpu.halted = True
             cpu.exit_code = halt.exit_code
@@ -712,14 +599,6 @@ _ALU_FUNCS: dict[int, object] = {
 }
 
 
-def _binop(op: Op, a: int, b: int) -> int:
-    """Apply one binary ALU operation (table-driven)."""
-    fn = _ALU_FUNCS.get(op)
-    if fn is None:
-        raise Fault("exec", f"not a binary op: {op!r}")  # pragma: no cover
-    return fn(a, b)
-
-
 def _make_alu_handler(fn):
     def handler(self, cpu, instr):
         cpu.clock.now_ns += COSTS.INSN
@@ -768,8 +647,12 @@ def _make_cmp_branch_handler(fn, jnz):
 
 
 # -- specialized fused handlers ---------------------------------------------
-# Hand-inlined bodies for the hottest fused pairs, replacing the generic
-# _op_fused's two nested handler calls.  Same contract as every fused
+# Hand-inlined bodies for the fused pairs that request traffic executes
+# interpreted (outside every compiled trace), replacing the generic
+# _op_fused's two nested handler calls.  A pair keeps a body here only
+# while it runs several times per request; colder pairs use _op_fused,
+# which calls the very handlers an unfused run calls (docs/INTERNALS.md
+# §11 has the per-pair counts).  Same contract as every fused
 # handler: simulated charges are the exact per-instruction float adds in
 # unfused order (read_word/write_word charge INSN_MEM internally), and
 # the first half retires — pc advanced, effects landed — before the
@@ -796,26 +679,6 @@ def _fused_loadl_loadl(self, cpu, f):
     cpu.pc += INSTR_SIZE
 
 
-def _fused_loadl_storel(self, cpu, f):
-    # The loaded word moves straight into the target slot; the unfused
-    # push/pop round-trip nets to the same stack at every fault point.
-    mmu = self.mmu
-    ctx = cpu.ctx
-    base = cpu.fp + 16
-    value = mmu.read_word(ctx, base + 8 * f.i1.imm1)
-    cpu.pc += INSTR_SIZE
-    mmu.write_word(ctx, base + 8 * f.i2.imm1, value)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_loadl_add(self, cpu, f):
-    value = self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i1.imm1)
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.push(_alu_add(cpu.pop(), value))
-    cpu.pc += INSTR_SIZE
-
-
 def _fused_push_loadl(self, cpu, f):
     cpu.clock.now_ns += COSTS.INSN
     cpu.operands.append(f.i1.imm1)
@@ -833,67 +696,12 @@ def _fused_load_push(self, cpu, f):
     cpu.pc += INSTR_SIZE
 
 
-def _fused_load_store(self, cpu, f):
-    mmu = self.mmu
-    ctx = cpu.ctx
-    value = mmu.read_word(ctx, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    addr = cpu.pop()
-    mmu.write_word(ctx, addr, value)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_load_lt(self, cpu, f):
-    value = self.mmu.read_word(cpu.ctx, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.operands.append(1 if cpu.pop() < value else 0)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_load_mul(self, cpu, f):
-    value = self.mmu.read_word(cpu.ctx, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.push(_alu_mul(cpu.pop(), value))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_add_load(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    a, b = cpu.pop2()
-    addr = _alu_add(a, b)
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(self.mmu.read_word(cpu.ctx, addr))
-    cpu.pc += INSTR_SIZE
-
-
 def _fused_add_storel(self, cpu, f):
     cpu.clock.now_ns += COSTS.INSN
     a, b = cpu.pop2()
     value = _alu_add(a, b)
     cpu.pc += INSTR_SIZE
     self.mmu.write_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1, value)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_add_loadl(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    a, b = cpu.pop2()
-    cpu.operands.append(_alu_add(a, b))
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(
-        self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_mul_loadl(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    a, b = cpu.pop2()
-    cpu.operands.append(_alu_mul(a, b))
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(
-        self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1))
     cpu.pc += INSTR_SIZE
 
 
@@ -926,22 +734,15 @@ def _fused_drop_loadl(self, cpu, f):
     cpu.pc += INSTR_SIZE
 
 
-#: Pair -> hand-specialized handler; pairs not listed here fall back to
-#: the push+binop / cmp+branch factories or the generic _op_fused.
+#: Pair -> hand-specialized handler; every key is a FUSED_PAIRS entry.
+#: Pairs not listed here fall back to the push+binop / cmp+branch
+#: factories or the generic _op_fused.
 _FUSED_SPECIAL = {
     (Op.LOADL, Op.PUSH): _fused_loadl_push,
     (Op.LOADL, Op.LOADL): _fused_loadl_loadl,
-    (Op.LOADL, Op.STOREL): _fused_loadl_storel,
-    (Op.LOADL, Op.ADD): _fused_loadl_add,
     (Op.PUSH, Op.LOADL): _fused_push_loadl,
     (Op.LOAD, Op.PUSH): _fused_load_push,
-    (Op.LOAD, Op.STORE): _fused_load_store,
-    (Op.LOAD, Op.LT): _fused_load_lt,
-    (Op.LOAD, Op.MUL): _fused_load_mul,
-    (Op.ADD, Op.LOAD): _fused_add_load,
     (Op.ADD, Op.STOREL): _fused_add_storel,
-    (Op.ADD, Op.LOADL): _fused_add_loadl,
-    (Op.MUL, Op.LOADL): _fused_mul_loadl,
     (Op.STOREL, Op.LOADL): _fused_storel_loadl,
     (Op.STOREL, Op.JMP): _fused_storel_jmp,
     (Op.DROP, Op.LOADL): _fused_drop_loadl,

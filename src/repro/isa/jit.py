@@ -4,7 +4,7 @@ PR 4's superinstruction fusion still pays one Python-level dispatch per
 (fused) instruction.  This module removes that cost for hot code: at
 load time it discovers *regions* — runs of simple opcodes inside one
 code page, optionally ending in a branch — and, once a region has been
-entered ``jit_threshold`` times, compiles it into one generated Python
+entered ``threshold`` times, compiles it into one generated Python
 function that executes the whole region in a single call from
 :meth:`Interpreter.run_slice`.  A region whose terminator branches back
 to its own entry with net stack delta zero compiles to a ``while``
@@ -58,11 +58,11 @@ every observable point:
 Regions are discovered along *dispatch groups* (a fused pair is one
 group): ``op_counts`` batching credits the fused pseudo-op slots, and
 the profiled variant drains the sampling profiler at group boundaries
-with the group-start pc — both exactly what ``_run_slice_profiled``
-does.  The per-machine entry cache is keyed ``(entry_pc,
-generation)``; quarantine trips and policy edits bump the generation
-via :meth:`JitCompiler.flush` so stale traces are never re-entered
-(per-dispatch safety additionally rests on ``run_slice``'s
+with the group-start pc — both exactly what ``run_slice`` does after
+each interpreted dispatch.  The per-machine entry cache is keyed
+``(entry_pc, generation)``; quarantine trips and policy edits bump the
+generation via :meth:`JitCompiler.flush` so stale traces are never
+re-entered (per-dispatch safety additionally rests on ``run_slice``'s
 generation-checked exec tag, which the JIT does not bypass).  The
 compiled function objects themselves are shared process-wide through a
 source-keyed cache (:data:`_COMPILED`): machines built from the same
@@ -629,7 +629,7 @@ def gen_source(region: Region, profiled: bool) -> str:
 
     def drain(idx: int, indent: str) -> None:
         # Retire-boundary drain with the *group-start* pc, exactly as
-        # _run_slice_profiled drains with the pre-dispatch pc.
+        # run_slice drains with the pre-dispatch pc.
         gstart = max(s for s in group_pcs if s <= idx)
         emit(f"{indent}if prof.next_due <= now:")
         emit(f"{indent}    clock.now_ns = now")

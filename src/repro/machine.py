@@ -88,8 +88,6 @@ class MachineConfig:
     # paths above: every simulated value is bit-identical with the JIT
     # on or off, and jit=False restores pure interpretation exactly.
     jit: bool = True
-    #: Interpreted entries of a region before it is compiled.
-    jit_threshold: int = 8
     # Observers beside ``trace``: all subscribe to the machine's observer
     # spine and charge no simulated cost, so sim-ns is bit-identical
     # with any of them on or off.
@@ -186,8 +184,7 @@ class Machine:
         self.interp = Interpreter(self.mmu, self.clock,
                                   fusion=config.fuse_superinstructions,
                                   jit=config.jit,
-                                  jit_threshold=config.jit_threshold)
-        self.interp.profiler = self.profiler
+                                  profiler=self.profiler)
         self.cpu = CPU(mmu=self.mmu, clock=self.clock)
         self.fault: Fault | None = None
 

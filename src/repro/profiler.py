@@ -12,8 +12,9 @@ A sample point is due whenever the sim clock crosses the next multiple
 of the period.  Points are *materialized* (attributed and counted) at
 the next drain site:
 
-* **instruction retire** — the interpreter's profiled slice loop drains
-  after each retired instruction, attributing pending points to
+* **instruction retire** — the interpreter's dispatch loop drains
+  after each interpreted dispatch (a compiled JIT trace after each of
+  its dispatch groups), attributing pending points to
   ``(current env, package owning pc)``.  The package is resolved
   through an interval map over the image's text sections.
 * **kernel exit** — no instructions retire while the host kernel runs
@@ -30,9 +31,9 @@ independent of *when* drains happen (only the attribution of a point
 depends on the nearest drain site, which is itself deterministic).
 
 Like the tracer and metrics registry, the profiler charges no simulated
-cost: sim-ns is bit-identical with profiling on or off, and the
-interpreter's null path gains no per-instruction work (the profiled
-slice loop is a separate copy selected once per slice).
+cost: sim-ns is bit-identical with profiling on or off.  With it off,
+the interpreter's one dispatch loop pays a single local ``is None``
+test per dispatch.
 
 Output: collapsed-stack ("folded") text consumable by standard
 flamegraph tooling — ``backend;env:E;pkg:P[;kernel:sys] count`` — plus

@@ -436,21 +436,24 @@ def run_level(backend: str, offered_rps: float, requests: int, seed: int,
               config: MachineConfig | None = None,
               cores: int = 1, spans: bool = False,
               span_sample: float = 1.0,
+              slo_ms: float = DEFAULT_SLO_MS,
               inject: str | None = None) -> LoadResult:
     """One offered-load level on a fresh machine.
 
     ``cores > 1`` boots an SMP machine with one server worker (its own
     listener on ``PORT + i``) per core and spreads the connection pool
     across the workers' ports.  ``spans`` arms the request-span
-    recorder (trace ids derive from ``seed``); ``inject`` forwards a
-    fault-injection spec so the flight recorder has faults to dump."""
+    recorder (trace ids derive from ``seed``; a trace slower than
+    ``slo_ms`` is flagged ``slo`` and always kept); ``inject`` forwards
+    a fault-injection spec so the flight recorder has faults to dump."""
     arrivals = ARRIVAL_PROCESSES[process](offered_rps, requests, seed)
     workers = max(1, cores)
     if config is None:
         config = MachineConfig(backend=backend, metrics=True,
                                fault_policy=fault_policy, cores=cores,
                                inject=inject, spans=spans,
-                               span_seed=seed, span_sample=span_sample)
+                               span_seed=seed, span_sample=span_sample,
+                               span_slo_ns=slo_ms * 1e6)
     machine = asynchttp.run_async_server(
         backend, config=config, maxconns=maxconns, backlog=backlog,
         workers=workers)

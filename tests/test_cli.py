@@ -141,6 +141,26 @@ class TestConfigErrors:
         assert levels == []
 
 
+class TestLoadtestSpans:
+    def test_slo_ms_reaches_the_span_recorder(self, tmp_path, capsys):
+        """Requests slower than ``--slo-ms`` are flagged ``slo`` in the
+        span export, so tail sampling keeps them even at sample 0."""
+        import json
+        out = tmp_path / "spans.json"
+        code = main(["loadtest", "--backends", "mpk", "--offered", "20000",
+                     "--requests", "80", "--slo-ms", "0.03",
+                     "--spans", str(out), "--span-sample", "0"])
+        assert code == 0
+        assert "| no |" in capsys.readouterr().out
+        export = json.loads(out.read_text())
+        (summary,) = export["otherData"]["sampling"].values()
+        assert summary["total"] == 80
+        assert summary["flagged"] > 0
+        roots = [e for e in export["traceEvents"]
+                 if e.get("name") == "request"]
+        assert roots and all("slo" in e["args"]["flags"] for e in roots)
+
+
 class TestLayoutAndViews:
     def test_layout(self, golite_files, capsys):
         assert main(["layout", *golite_files]) == 0

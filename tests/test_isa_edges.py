@@ -60,8 +60,8 @@ class TestInterpreterEdges:
         mm.cpu.pc = TEXT_BASE
         mm.cpu.operands.clear()
         with pytest.raises(MachineHalt):
-            mm.interp.step(mm.cpu)
-            mm.interp.step(mm.cpu)
+            mm.interp.run_slice(mm.cpu, 1)
+            mm.interp.run_slice(mm.cpu, 1)
 
     def test_fetch_decodes_from_memory(self):
         """Wipe the decode cache: instructions decode from raw bytes."""

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import Fault, PageFault
 from repro.isa import Asm, Instr, INSTR_SIZE, LabelRef, Op, SymRef, resolve
-from repro.isa.interp import GoroutineExit
+from repro.isa.interp import _FUSED_SPECIAL, GoroutineExit
+from repro.isa.opcodes import FUSED_PAIRS
 
 from tests.harness import DATA_BASE, MiniMachine, TEXT_BASE
 
@@ -212,7 +213,14 @@ class TestControlFlow:
         mm.load(program((Op.RET,)))
         mm.cpu.pc = TEXT_BASE
         with pytest.raises(GoroutineExit):
-            mm.interp.step(mm.cpu)
+            mm.interp.run_slice(mm.cpu, 1)
+
+
+class TestDispatchTable:
+    def test_every_specialized_pair_is_fused(self):
+        """A hand-inlined handler keyed by a pair the peephole never
+        forms would be silently dead."""
+        assert set(_FUSED_SPECIAL) <= set(FUSED_PAIRS)
 
 
 class TestStackDiscipline:

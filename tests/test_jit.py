@@ -14,9 +14,10 @@ from repro.errors import ConfigError, Fault, MachineHalt
 from repro.isa import INSTR_SIZE, Instr, Interpreter, Op
 from repro.isa.jit import JIT_MIN_LEN, JitEntry, discover_regions
 from repro.machine import Machine, MachineConfig
-from repro.workloads.bild import build_bild_image, run_bild
+from repro.os import syscalls as sc
+from repro.workloads.bild import build_bild_image
 
-from tests.harness import TEXT_BASE, MiniMachine
+from tests.harness import DATA_BASE, TEXT_BASE, MiniMachine
 
 
 def jit_mini(threshold: int = 1) -> MiniMachine:
@@ -69,6 +70,36 @@ SIDE_EXIT = [
     Instr(Op.LOADL, 0),
     Instr(Op.JNZ, TEXT_BASE + 2 * INSTR_SIZE),
     Instr(Op.PUSH, 7),
+    Instr(Op.HALT),
+]
+
+
+#: Sums 200..1 in a loop region, then writes the 8-byte sum to stdout.
+SUM_AND_WRITE = [
+    Instr(Op.PUSH, 200),
+    Instr(Op.STOREL, 0),
+    Instr(Op.PUSH, 0),
+    Instr(Op.STOREL, 1),
+    Instr(Op.LOADL, 1),                  # loop entry
+    Instr(Op.LOADL, 0),
+    Instr(Op.ADD),
+    Instr(Op.STOREL, 1),
+    Instr(Op.LOADL, 0),
+    Instr(Op.PUSH, 1),
+    Instr(Op.SUB),
+    Instr(Op.STOREL, 0),
+    Instr(Op.LOADL, 0),
+    Instr(Op.JNZ, TEXT_BASE + 4 * INSTR_SIZE),
+    Instr(Op.PUSH, DATA_BASE),
+    Instr(Op.LOADL, 1),
+    Instr(Op.STORE),
+    Instr(Op.PUSH, 1),
+    Instr(Op.PUSH, DATA_BASE),
+    Instr(Op.PUSH, 8),
+    Instr(Op.PUSH, sc.SYS_WRITE),
+    Instr(Op.SYSCALL, 3),
+    Instr(Op.DROP),
+    Instr(Op.PUSH, 0),
     Instr(Op.HALT),
 ]
 
@@ -140,6 +171,21 @@ class TestExecutionIdentity:
                             list(mm.interp.perf.op_counts)))
         assert results[0] == results[1]
         assert results[0][0] == 7
+
+    def test_threshold_changes_no_simulated_value(self):
+        """A trace compiled on first entry and one never compiled give
+        the same sim-ns and the same program output."""
+        runs = []
+        for threshold in (1, 10 ** 9):
+            mm = jit_mini(threshold)
+            mm.load(SUM_AND_WRITE)
+            assert run_slices(mm) == 0
+            runs.append((mm.interp.perf.jit_traces_compiled,
+                         mm.clock.now_ns, bytes(mm.kernel.stdout)))
+        (hot, hot_ns, hot_out), (cold, cold_ns, cold_out) = runs
+        assert hot > 0 and cold == 0
+        assert hot_ns == cold_ns
+        assert hot_out == cold_out == (20100).to_bytes(8, "little")
 
     def test_loop_trace_retires_many_iterations_per_call(self):
         mm = jit_mini(threshold=1)
@@ -311,17 +357,6 @@ class TestInvalidation:
         lb.note_contained_fault(fault)
         assert env.id in lb.quarantined
         assert machine.perf.jit_flushes == 1
-
-    def test_jit_threshold_is_wired_through_config(self):
-        machine = run_bild("mpk", 8, 8, 1,
-                           config=MachineConfig(backend="mpk",
-                                                jit_threshold=10 ** 9))
-        assert machine.perf.jit_traces_compiled == 0
-        hot = run_bild("mpk", 8, 8, 1,
-                       config=MachineConfig(backend="mpk",
-                                            jit_threshold=1))
-        assert hot.perf.jit_traces_compiled > 0
-        assert hot.clock.now_ns == machine.clock.now_ns
 
     def test_discovery_api_is_pure(self):
         """discover_regions inspects but never mutates the code dict

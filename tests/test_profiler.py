@@ -18,6 +18,7 @@ from repro.workloads.bild import run_bild
 from repro.workloads.httpserver import run_http_server
 
 ENFORCING = ["mpk", "vtx"]
+ALL_ENFORCING = ["mpk", "vtx", "lwc"]
 
 
 class FakeClock:
@@ -162,3 +163,32 @@ class TestWorkloadAttribution:
         # Same sim timeline, so the counts relate by the period ratio.
         assert fine.total_samples() == \
             pytest.approx(4 * coarse.total_samples(), rel=0.05)
+
+
+class TestJitIndependence:
+    """Compiled traces drain the profiler at the same retire boundaries,
+    with the same pcs, as the interpreter loop, so the folded profile is
+    byte-identical with the JIT on or off."""
+
+    @staticmethod
+    def _bild(backend: str, jit: bool):
+        return run_bild(backend, 24, 24, config=MachineConfig(
+            backend=backend, profile=True, jit=jit))
+
+    @staticmethod
+    def _http(backend: str, jit: bool):
+        driver = run_http_server(backend, config=MachineConfig(
+            backend=backend, profile=True, jit=jit))
+        for _ in range(12):
+            driver.request()
+        return driver.machine
+
+    @pytest.mark.parametrize("backend", ALL_ENFORCING)
+    @pytest.mark.parametrize("workload", ["_bild", "_http"])
+    def test_folded_profile_identical_with_jit_off(self, workload, backend):
+        run = getattr(self, workload)
+        on, off = run(backend, True), run(backend, False)
+        assert on.perf.jit_trace_executions > 0
+        folded = on.profiler.folded()
+        assert folded.startswith(backend + ";")
+        assert folded == off.profiler.folded()
