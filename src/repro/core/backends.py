@@ -175,21 +175,16 @@ class PageTableBackend(Backend):
             raise ConfigError(f"{self.name.upper()} backend requires the "
                               "loaded master table")
         self.trusted_table = self._trusted_table(kernel.host_table)
-        self._track(self.trusted_table)
         litterbox.trusted_env.table = self.trusted_table
         for env in litterbox.envs.values():
             if env.trusted:
                 continue
             env.table = self._build_env_table(env)
-            self._track(env.table)
         kernel.mmap_hook = self._mmap_hook
 
     def _trusted_table(self, host_table: PageTable) -> PageTable:
         """The table non-enclosed code runs on.  Default: the host's."""
         return host_table
-
-    def _track(self, table: PageTable) -> None:
-        """A table was created or gained mappings.  Default: nothing."""
 
     def _build_env_table(self, env: Environment) -> PageTable:
         """Create the per-enclosure page table from its view."""
@@ -222,7 +217,6 @@ class PageTableBackend(Backend):
         for env in self.litterbox.envs.values():
             if env.table is not None and env.table is not self.trusted_table:
                 env.table.map_range(base, size, pfns, Perm.RW, present=False)
-        self._track(self.trusted_table)
 
     # --------------------------------------------------------------- switches
 

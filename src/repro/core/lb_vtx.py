@@ -50,20 +50,26 @@ class VTXBackend(PageTableBackend):
     # ------------------------------------------------------------------ init
 
     def init(self, litterbox: "LitterBox") -> None:
-        """Create the VM, register every guest table with it, and launch
-        it on the trusted table."""
+        """Create the VM, extend its EPT over the trusted table's frames
+        (a superset of every enclosure table's), and launch it on the
+        trusted table."""
         self.vm = self.kvm.create_vm()
         super().init(litterbox)
-        self.vm.launch(self.trusted_table)
+        table = self.trusted_table
+        self.vm.extend_ept(table.lookup(vpn).pfn
+                           for vpn in table.mapped_vpns())
+        self.vm.launch(table)
 
     def _trusted_table(self, host_table: PageTable) -> PageTable:
         """Everything user-accessible except super, which stays
         supervisor-only (the loader maps it user=False already)."""
         return host_table.clone(f"{self.table_prefix}.trusted")
 
-    def _track(self, table: PageTable) -> None:
-        """Extend the EPT over every frame the guest table references."""
-        self.vm.register_guest_table(table)
+    def _mmap_hook(self, base: int, size: int, pfns: list[int]) -> None:
+        """Map the new frames, then extend the EPT over them: they are
+        the only frames a mmap can add to any guest table."""
+        super()._mmap_hook(base, size, pfns)
+        self.vm.extend_ept(pfns)
 
     def boot(self, ctx: "TranslationContext") -> None:
         """Entering guest mode installs a new CR3 and the EPT: any

@@ -3,7 +3,7 @@
 Every memory access made by simulated code — instruction fetches,
 loads, stores, and the bulk accesses of runtime helpers acting on behalf
 of simulated code — goes through :meth:`MMU.read` / :meth:`MMU.write` /
-:meth:`MMU.check_exec` with the currently installed
+:meth:`MMU.exec_tag` with the currently installed
 :class:`TranslationContext`.  This is what makes LitterBox's enforcement
 non-bypassable inside the simulation.
 
@@ -88,8 +88,8 @@ class MMU:
         #: Observer spine (repro.trace.Observers); only fault paths
         #: consult it, never a successful access.
         self.obs = None
-        #: Optional FaultInjector consulted per checked access (None in
-        #: normal runs, so the hot path pays one predictable branch).
+        #: The FaultInjector while it has a fault armed, else None (so
+        #: the hot path pays one predictable branch; see repro.inject).
         self.inject = None
 
     def _trace_violation(self, kind: str, vaddr: int,
@@ -163,17 +163,6 @@ class MMU:
             raise PkeyFault(
                 f"write of {vaddr:#x} denied by PKRU for key {pte.pkey}",
                 addr=vaddr, pkey=pte.pkey)
-
-    def _translate(self, ctx: TranslationContext, vaddr: int,
-                   kind: str) -> tuple[PTE, int]:
-        """Translate one address; raise a fault on any violation.
-
-        ``kind`` is ``'r'``, ``'w'``, or ``'x'``.  Kept as the uncached
-        reference path; checked accesses go through :meth:`_access`.
-        """
-        pte, paddr = self._walk(ctx, vaddr, kind)
-        self._check_pkey(ctx, pte, vaddr, kind)
-        return pte, paddr
 
     def _fill(self, ctx: TranslationContext, vaddr: int,
               kind: str) -> tuple:
@@ -278,16 +267,12 @@ class MMU:
             pos += chunk
             remaining -= chunk
 
-    def check_exec(self, ctx: TranslationContext, vaddr: int) -> None:
-        """Validate an instruction fetch from ``vaddr``."""
-        self._access(ctx, vaddr, "x")
-
     def exec_tag(self, ctx: TranslationContext, vaddr: int) -> tuple:
         """Validate a fetch and return the interpreter's per-page exec
         cache tag ``(vpn, ctx, table, table_gen, ept, ept_gen)``.
 
         The interpreter compares the tag inline on every step; while it
-        matches, fetches from the same page skip :meth:`check_exec`.
+        matches, fetches from the same page skip this check.
         """
         self._access(ctx, vaddr, "x")
         table = ctx.page_table
@@ -300,7 +285,7 @@ class MMU:
     # The word/byte helpers below open-code the TLB-hit path of
     # :meth:`_access` (same tag revalidation, same per-access PKRU
     # check with the AD/WD bit tests of :func:`pkru_allows_read` /
-    # :func:`pkru_allows_write` inlined).  Any miss, mismatch, injector,
+    # :func:`pkru_allows_write` inlined).  Any miss, mismatch, armed injector,
     # or denial falls back to ``_access``, which repeats the checks and
     # owns every fault/trace/counter slow path — so enforcement and
     # observable faults are byte-for-byte those of the shared path, and

@@ -13,9 +13,9 @@ from repro.errors import ConfigError
 from repro.hw.pages import PAGE_SIZE, Perm, pages_spanned
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTE:
-    """A page-table entry."""
+    """A page-table entry (slotted: a machine holds ~100k of them)."""
 
     pfn: int
     perms: Perm

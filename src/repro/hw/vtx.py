@@ -10,13 +10,13 @@ paying a full VM EXIT / VM RESUME round trip.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.errors import ConfigError
 from repro.hw.clock import COSTS, SimClock
 from repro.hw.pagetable import PTE, PageTable
-from repro.hw.pages import PAGE_SIZE
+from repro.hw.pages import Perm
 
 
 class ExitReason(enum.Enum):
@@ -44,45 +44,28 @@ class VMCS:
 class VirtualMachine:
     """A single VT-x VM hosting the application (as in LBVTX).
 
-    The VM tracks the set of guest page tables (one per execution
-    environment plus the trusted table) and provides the VM EXIT /
-    VM RESUME cost accounting.  ``GPA == HVA`` is preserved: the EPT
-    identity-maps every guest-physical page that the guest tables
-    reference, mirroring the paper's simplification.
+    The VM owns the EPT and provides the VM EXIT / VM RESUME cost
+    accounting.  ``GPA == HVA`` is preserved: the backend hands the VM
+    every guest-physical frame its guest tables reference, and the EPT
+    identity-maps each one, mirroring the paper's simplification.
     """
 
     def __init__(self, clock: SimClock):
         self.clock = clock
         self.vmcs = VMCS(ept=PageTable("ept"))
-        self._guest_tables: dict[str, PageTable] = {}
         self.hypercall_handler: Callable[..., int] | None = None
         self.obs = None  # observer spine (repro.trace.Observers)
 
-    # -- guest page-table management --------------------------------------
+    # -- EPT management ----------------------------------------------------
 
-    def register_guest_table(self, table: PageTable) -> None:
-        """Track a per-environment guest table and extend the EPT so each
-        physical frame it references is reachable (identity mapping)."""
-        self._guest_tables[table.name] = table
+    def extend_ept(self, pfns: Iterable[int]) -> None:
+        """Identity-map each guest-physical frame in ``pfns``, charging
+        one EPT update per frame the EPT did not already map."""
         ept = self.vmcs.ept
-        assert ept is not None
-        for vpn in table.mapped_vpns():
-            pte = table.lookup(vpn)
-            assert pte is not None
-            gpa_page = pte.pfn
-            if ept.lookup(gpa_page) is None:
-                from repro.hw.pages import Perm
-                ept.map_page(gpa_page, PTE(gpa_page, Perm.RWX, user=True))
+        for pfn in pfns:
+            if ept.lookup(pfn) is None:
+                ept.map_page(pfn, PTE(pfn, Perm.RWX, user=True))
                 self.clock.charge(COSTS.EPT_UPDATE)
-
-    def guest_table(self, name: str) -> PageTable:
-        try:
-            return self._guest_tables[name]
-        except KeyError:
-            raise ConfigError(f"unknown guest page table {name!r}") from None
-
-    def guest_tables(self) -> list[PageTable]:
-        return list(self._guest_tables.values())
 
     # -- mode transitions --------------------------------------------------
 

@@ -165,8 +165,12 @@ class FaultInjector:
 
     The machine wires ``env_provider`` (a callable returning the name
     of the environment the current goroutine is executing in) and
-    installs the injector on the kernel, LitterBox, and MMU hook
-    points.  All hooks are no-ops in machines built without
+    ``mmu``, and installs the injector on the kernel and LitterBox hook
+    points.  The MMU hook (``mmu.inject``) is attached only while a
+    clause is armed: :meth:`on_prolog` attaches it when it arms one, and
+    :meth:`on_access` detaches it when the last armed clause fires, so
+    an idle injector leaves every MMU fast path and JIT trace engaged.
+    All hooks are no-ops in machines built without
     ``MachineConfig(inject=...)`` — the attributes stay ``None`` and
     each hook site is one ``is None`` test, so simulated time is
     bit-identical with injection disabled.
@@ -180,6 +184,9 @@ class FaultInjector:
         #: Callable returning the current environment name; the machine
         #: wires it to the scheduler's current goroutine.
         self.env_provider = None
+        #: The MMU whose ``inject`` hook is set while a fault is armed;
+        #: the machine wires it.
+        self.mmu = None
         #: Armed one-shot faults: (clause, env_id, env_name).
         self._armed: list[tuple[InjectClause, int, str]] = []
 
@@ -239,6 +246,7 @@ class FaultInjector:
                               env_name=env.name, pkg="injected")
                 raise fault
             self._armed.append((clause, env.id, env.name))
+            self.mmu.inject = self
 
     # -- hook: MMU access path -----------------------------------------------
 
@@ -250,8 +258,6 @@ class FaultInjector:
         fires on any access, modelling a filtered SYSCALL instruction
         appearing at that point in the adversarial package's stream.
         """
-        if not self._armed:
-            return
         env = self._current_env()
         for index, (clause, env_id, env_name) in enumerate(self._armed):
             if env_name != env:
@@ -259,6 +265,8 @@ class FaultInjector:
             if clause.kind in ("pkey", "page") and kind == "x":
                 continue
             del self._armed[index]
+            if not self._armed:
+                self.mmu.inject = None
             if clause.kind == "pkey":
                 fault = PkeyFault(
                     f"injected PKRU violation at {vaddr:#x} in "

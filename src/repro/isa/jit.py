@@ -35,8 +35,10 @@ every observable point:
   enter a region when the remaining slice budget or operand-stack
   depth is insufficient, and the trace itself refuses (returns ``0``,
   nothing observable done) when the frame's locals span a page, the
-  fault injector is armed, the TLB can't prevalidate the locals page,
-  or a slice-specialized trace meets a non-stock rtcall handler — plus
+  fault injector is armed (``mmu.inject`` is set only then; clauses arm
+  at a Prolog, which no region contains, so the value cannot change
+  while a trace runs), the TLB can't prevalidate the locals page, or a
+  slice-specialized trace meets a non-stock rtcall handler — plus
   a per-call prevalidation of the frame's locals page hoist the
   per-access work.  The trace protocol is ``fn(interp, cpu, left) ->
   int``: ``0`` means an entry guard failed and the interpreter

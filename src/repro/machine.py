@@ -292,7 +292,7 @@ class Machine:
                 self.scheduler.current.env.name
                 if self.scheduler.current is not None else "trusted")
             self.injector = injector
-            self.mmu.inject = injector
+            injector.mmu = self.mmu
             self.kernel.inject = injector
             self.litterbox.injector = injector
 
@@ -462,7 +462,6 @@ class Machine:
             # Contained: the main goroutine died but the machine did not
             # abort; the backend already charged the containment cost.
             self.fault = result.fault
-        result.goroutines = self.scheduler.exit_summary()
         return result
 
     # ------------------------------------------------------------------ tools

@@ -64,7 +64,7 @@ class PerfStats:
         #: Explicit whole-context flushes (CR3 writes, env switches).
         self.tlb_flushes = 0
         #: Instruction fetches that missed the per-page exec cache and
-        #: went through ``check_exec`` (fast fetches = instructions
+        #: went through ``MMU.exec_tag`` (fast fetches = instructions
         #: executed minus this).
         self.fetch_slow = 0
         #: Aligned single-page word accesses that took the direct

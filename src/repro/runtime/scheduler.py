@@ -71,13 +71,13 @@ class Goroutine:
 
 @dataclass
 class RunResult:
-    """Outcome of a scheduler drive."""
+    """Outcome of a scheduler drive.  How each goroutine ended up is
+    not part of it: :meth:`Scheduler.exit_summary` builds that on
+    demand."""
 
     status: str              # exited | halted | faulted | killed | idle
     exit_code: int = 0
     fault: Fault | None = None
-    #: Per-goroutine exit summary (filled in by ``Machine._finish``).
-    goroutines: dict | None = None
 
 
 @dataclass
@@ -458,6 +458,3 @@ class Scheduler:
 
     def blocked_count(self) -> int:
         return sum(len(v) for v in self.blocked.values())
-
-    def live_goroutines(self) -> list[Goroutine]:
-        return [g for g in self.goroutines if g.state != "done"]

@@ -107,7 +107,7 @@ class TestKillGoroutinePolicy:
         assert result.exit_code == 1
         assert machine.fault is not None
         assert machine.fault.env_name == "main_1"
-        summary = result.goroutines
+        summary = machine.scheduler.exit_summary()
         assert summary[1]["state"] == "killed-by-fault"
         assert "fault" in summary[1]
 
@@ -123,7 +123,8 @@ class TestKillGoroutinePolicy:
         contained = machine.scheduler.contained
         assert len(contained) == 1
         assert contained[0].env_name == "main_1"
-        states = {g["state"] for g in result.goroutines.values()}
+        summary = machine.scheduler.exit_summary()
+        states = {g["state"] for g in summary.values()}
         assert "killed-by-fault" in states and "ran" in states
 
     @pytest.mark.parametrize("backend", ENFORCING)
@@ -236,7 +237,7 @@ class TestSupervisedRestart:
         assert result.status == "killed"
         assert len(machine.scheduler.contained) == 3  # original + 2 retries
         restarts = [g.get("restarts", 0)
-                    for g in result.goroutines.values()]
+                    for g in machine.scheduler.exit_summary().values()]
         assert max(restarts) == 2
 
 
@@ -246,7 +247,7 @@ class TestSchedulerReporting:
             VIOLATOR_APP, SECRETS,
             config=MachineConfig(backend="mpk",
                                  fault_policy="kill-goroutine"))
-        summary = result.goroutines
+        summary = machine.scheduler.exit_summary()
         assert summary[1]["state"] == "ran"          # main exited
         by_state = sorted(g["state"] for g in summary.values())
         assert by_state.count("killed-by-fault") == 1

@@ -174,10 +174,10 @@ class TestMMU:
 
     def test_exec_check(self, mmu):
         ctx = make_ctx(mmu, 1, perms=Perm.RX)
-        mmu.check_exec(ctx, 0x10000)
+        mmu.exec_tag(ctx, 0x10000)
         ctx2 = make_ctx(mmu, 1, perms=Perm.RW)
         with pytest.raises(PageFault):
-            mmu.check_exec(ctx2, 0x10000)
+            mmu.exec_tag(ctx2, 0x10000)
 
     def test_non_present_faults(self, mmu):
         ctx = make_ctx(mmu, 1)

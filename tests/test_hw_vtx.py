@@ -27,31 +27,30 @@ def table_with_pages(name, pfns, base=0x10000):
 
 
 class TestGuestTables:
+    """The VM's EPT grows by guest-physical frames (``extend_ept``)."""
+
     def test_register_extends_ept(self, vm):
-        table = table_with_pages("gpt.a", [3, 4, 5])
-        vm.register_guest_table(table)
+        vm.extend_ept([3, 4, 5])
         for pfn in (3, 4, 5):
             assert vm.vmcs.ept.lookup(pfn) is not None
 
     def test_ept_identity_mapping(self, vm):
-        table = table_with_pages("gpt.a", [7])
-        vm.register_guest_table(table)
+        vm.extend_ept([7])
         ept_pte = vm.vmcs.ept.lookup(7)
         assert ept_pte.pfn == 7  # GPA == HVA preserved
 
     def test_reregistration_idempotent(self, vm):
-        table = table_with_pages("gpt.a", [3])
-        vm.register_guest_table(table)
+        vm.extend_ept([3])
         before = vm.clock.now_ns
-        vm.register_guest_table(table)
+        vm.extend_ept([3])
         assert vm.clock.now_ns == before  # no duplicate EPT work
 
-    def test_lookup_by_name(self, vm):
-        table = table_with_pages("gpt.a", [3])
-        vm.register_guest_table(table)
-        assert vm.guest_table("gpt.a") is table
-        with pytest.raises(ConfigError):
-            vm.guest_table("gpt.missing")
+    def test_new_frames_charge_once_each(self, vm):
+        vm.extend_ept([3, 4])
+        before = vm.clock.now_ns
+        vm.extend_ept([3, 4, 8, 9, 10])
+        assert vm.clock.now_ns == before + 3 * COSTS.EPT_UPDATE
+        assert len(vm.vmcs.ept) == 5
 
 
 class TestModeTransitions:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro.errors import ConfigError, PageFault, PkeyFault, SyscallFault
@@ -150,6 +152,7 @@ class TestAccessHook:
             name = "main_1"
         injector = FaultInjector(spec)
         injector.env_provider = lambda: "main_1"
+        injector.mmu = types.SimpleNamespace(inject=None)
         injector.on_prolog(Env())
         return injector
 
@@ -171,6 +174,13 @@ class TestAccessHook:
         injector = self._armed("sysdeny@main_1")
         with pytest.raises(SyscallFault):
             injector.on_access(0x3000, "x")
+
+    def test_mmu_hook_attached_only_while_armed(self):
+        injector = self._armed("pkey@main_1")
+        assert injector.mmu.inject is injector
+        with pytest.raises(PkeyFault):
+            injector.on_access(0x1000, "r")
+        assert injector.mmu.inject is None
 
     def test_armed_fault_waits_for_matching_env(self):
         injector = self._armed("pkey@main_1")

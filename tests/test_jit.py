@@ -17,6 +17,7 @@ from repro.machine import Machine, MachineConfig
 from repro.os import syscalls as sc
 from repro.workloads.bild import build_bild_image
 
+from tests.golite_helpers import run_golite
 from tests.harness import DATA_BASE, TEXT_BASE, MiniMachine
 
 
@@ -368,3 +369,50 @@ class TestInvalidation:
         assert [r.entry for r in regions if r.loop] == \
             [TEXT_BASE + 2 * INSTR_SIZE]
         assert mm.interp.code == code_before
+
+
+#: A hot loop over locals beside an enclosure that runs once; the
+#: injection tests below attach a clause to it or to no environment.
+HOT_LOOP_APP = """
+package main
+
+var out int
+
+func main() {
+    s := 0
+    for i := 0; i < 3000; i++ {
+        s = s + i
+    }
+    f := with "none" func() int { return 7 }
+    out = f()
+    println(s)
+}
+"""
+
+
+class TestIdleInjector:
+    """``mmu.inject`` is set only while a clause is armed, so an
+    injector with nothing armed leaves every trace engaged."""
+
+    def _run(self, inject: str, jit: bool = True):
+        return run_golite(HOT_LOOP_APP, config=MachineConfig(
+            backend="mpk", inject=inject, jit=jit))
+
+    def test_idle_injector_leaves_the_jit_engaged(self):
+        machine, result = self._run("pkey@nowhere")
+        ref, ref_result = self._run("pkey@nowhere", jit=False)
+        assert result.status == ref_result.status == "exited"
+        perf = machine.perf
+        assert perf.jit_insns / perf.instructions > 0.5
+        assert machine.mmu.inject is None
+        assert machine.injector.total_fired == 0
+        assert machine.clock.now_ns == ref.clock.now_ns
+        assert machine.stdout == ref.stdout
+        assert perf.op_counts == ref.perf.op_counts
+
+    def test_hook_detaches_after_the_last_armed_clause_fires(self):
+        machine, result = self._run("pkey@main_1")
+        assert result.status == "faulted"
+        assert machine.fault.pkg == "injected"
+        assert machine.injector.total_fired == 1
+        assert machine.mmu.inject is None

@@ -148,7 +148,7 @@ def fingerprint(machine, result):
     """Everything bit-identity covers: time, counters, outcomes."""
     clock = machine.clock
     return (clock.now_ns, dict(clock.counters), result.status,
-            machine.stdout, result.goroutines)
+            machine.stdout, machine.scheduler.exit_summary())
 
 
 class TestConfig:
@@ -174,7 +174,8 @@ class TestConfig:
         assert machine.clock.count("tlb_shootdowns") == 0
         assert machine.clock.count("ipis") == 0
         # Attribution is still present (everything ran on core 0).
-        assert all(g["core"] == 0 for g in result.goroutines.values())
+        summary = machine.scheduler.exit_summary()
+        assert all(g["core"] == 0 for g in summary.values())
 
 
 class TestDeterminism:
@@ -204,7 +205,8 @@ class TestScheduler:
         assert result.status == "exited", machine.fault
         assert machine.read_global("main.out") == 6 * sum(range(3000))
         assert machine.scheduler.steals > 0
-        cores_used = {g["core"] for g in result.goroutines.values()}
+        summary = machine.scheduler.exit_summary()
+        cores_used = {g["core"] for g in summary.values()}
         assert cores_used == {0, 1}
 
     def test_stealing_takes_from_busiest_queue_front(self):
@@ -213,9 +215,10 @@ class TestScheduler:
         machine, result = run_golite(
             SPINNERS, config=MachineConfig(backend="baseline", cores=4))
         assert result.status == "exited", machine.fault
-        states = {g["state"] for g in result.goroutines.values()}
+        summary = machine.scheduler.exit_summary()
+        states = {g["state"] for g in summary.values()}
         assert states == {"ran"}
-        assert len({g["core"] for g in result.goroutines.values()}) > 2
+        assert len({g["core"] for g in summary.values()}) > 2
 
     def test_cross_core_channel_wakeup(self):
         """A consumer parked on core 1 is woken by a sender running on
@@ -225,7 +228,8 @@ class TestScheduler:
             PINGPONG, config=MachineConfig(backend="baseline", cores=2))
         assert result.status == "exited", machine.fault
         assert machine.read_global("main.out") == 10 * 2 + 11 * 2 + 4 * 4000
-        cores_used = {g["core"] for g in result.goroutines.values()}
+        summary = machine.scheduler.exit_summary()
+        cores_used = {g["core"] for g in summary.values()}
         assert cores_used == {0, 1}
 
     def test_vtime_frontier_on_exit(self):
@@ -392,7 +396,8 @@ class TestQuarantineRace:
         assert report["contained"]
         for entry in report["contained"]:
             assert "core" in entry
-        assert {g["core"] for g in result.goroutines.values()} <= {0, 1}
+        summary = machine.scheduler.exit_summary()
+        assert {g["core"] for g in summary.values()} <= {0, 1}
 
 
 class TestLoadgenSMP:

@@ -120,15 +120,17 @@ class TestPageTableEditInvalidation:
 
     def test_exec_revocation(self, mmu):
         ctx = make_ctx(mmu, perms=Perm.RX)
-        mmu.check_exec(ctx, BASE)
-        mmu.check_exec(ctx, BASE + 4)  # hot
+        mmu.exec_tag(ctx, BASE)
+        hits = mmu.perf.tlb_hits
+        mmu.exec_tag(ctx, BASE + 4)  # hot
+        assert mmu.perf.tlb_hits == hits + 1
         ctx.page_table.protect_range(BASE, PAGE_SIZE, Perm.RW)
         with pytest.raises(PageFault):
-            mmu.check_exec(ctx, BASE)
+            mmu.exec_tag(ctx, BASE)
 
     def test_exec_tag_goes_stale(self, mmu):
         """The interpreter's per-page fetch tag embeds the generation;
-        any edit must force it through check_exec again."""
+        any edit must force it through exec_tag again."""
         ctx = make_ctx(mmu, perms=Perm.RX)
         tag = mmu.exec_tag(ctx, BASE)
         assert tag[2] is ctx.page_table and tag[3] == ctx.page_table.gen
@@ -171,7 +173,7 @@ class TestDeniedNeverCached:
             mmu.write(ctx, BASE, b"x")
         assert not ctx.tlb
         with pytest.raises(PageFault):
-            mmu.check_exec(ctx, BASE)
+            mmu.exec_tag(ctx, BASE)
         assert not ctx.tlb
 
     def test_supervisor_entry_not_reused_by_user(self, mmu):
@@ -225,9 +227,9 @@ class TestPKRUNotInTag:
         a revoking WRPKRU (faithful hardware limitation, §5.3)."""
         ctx = make_ctx(mmu, perms=Perm.RX, pkey=3,
                        pkru=make_pkru({0: "rw", 3: "rw"}))
-        mmu.check_exec(ctx, BASE)
+        mmu.exec_tag(ctx, BASE)
         ctx.pkru = make_pkru({0: "rw"})
-        mmu.check_exec(ctx, BASE)  # no fault
+        mmu.exec_tag(ctx, BASE)  # no fault
         with pytest.raises(PkeyFault):
             mmu.read(ctx, BASE, 1)
 
